@@ -5,7 +5,7 @@ problems, runs standard multi-objective evolutionary algorithms on them, and
 aggregates hypervolume-based analyses into plot-ready tables.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .algorithms import AlgoConfig, RunResult, run_algorithm
 from .indicators import (
@@ -18,7 +18,7 @@ from .indicators import (
     relative_hv,
     wasserstein_1d,
 )
-from .instance import EvaluationRecord, ProblemInstance, evaluate_instance
+from .instance import ProblemInstance, evaluate_instance_batch
 from .problems import ProblemId, evaluate, list_problems, native_bounds
 from .specfun import ShapeParams, inv_reg_inc_beta, reg_inc_beta
 from .transforms import (
@@ -43,9 +43,8 @@ __all__ = [
     "normalized_hv",
     "relative_hv",
     "wasserstein_1d",
-    "EvaluationRecord",
     "ProblemInstance",
-    "evaluate_instance",
+    "evaluate_instance_batch",
     "ProblemId",
     "evaluate",
     "list_problems",

@@ -1,10 +1,10 @@
 """Optimizers: random search, NSGA-II, SMS-EMOA, and MOEA/D.
 
-All runs are driven through evaluate_instance so every evaluation is logged
-with both the algorithm-visible and the original objectives. Selection uses
-the algorithm-visible values (f_seen); the archive collects original-space
-values. Each run owns a single seeded generator; operator draw order is
-documented on the operators, so a run is a pure function of
+All runs are driven through _RunState.evaluate, so every evaluation is
+recorded with both the algorithm-visible and the original objectives.
+Selection uses the algorithm-visible values (f_seen); the archive collects
+original-space values. Each run owns a single seeded generator; operator
+draw order is documented on the operators, so a run is a pure function of
 (instance, AlgoConfig).
 
 Variation defaults follow the usual framework settings: SBX with eta=15 and
@@ -21,17 +21,11 @@ import numpy as np
 
 from .errors import ParameterError
 from .indicators import ParetoArchive
-from .instance import (
-    EvaluationRecord,
-    ProblemInstance,
-    evaluate_instance,
-    evaluate_instance_batch,
-)
+from .instance import ProblemInstance, evaluate_instance_batch
 
 __all__ = [
     "ALGORITHM_NAMES",
     "AlgoConfig",
-    "Individual",
     "RunResult",
     "run_algorithm",
     "run_random_search",
@@ -78,52 +72,60 @@ class AlgoConfig:
             raise ParameterError("seed must be a non-negative integer")
 
 
-@dataclass(frozen=True, slots=True)
-class Individual:
-    x: np.ndarray
-    f_seen: tuple[float, float]
-    f_original: tuple[float, float]
-    eval_index: int
-
-
 @dataclass
 class RunResult:
+    """One run's evaluations as columns: row i holds evaluation i + 1.
+
+    final_population holds row indices into the columns.
+    """
+
     config: AlgoConfig
     instance_descriptor: str
-    log: list[EvaluationRecord]
-    final_population: list[Individual]
+    x: np.ndarray
+    f_seen: np.ndarray
+    f_orig: np.ndarray
+    final_population: np.ndarray
     archive: ParetoArchive
 
 
-def _individual(rec: EvaluationRecord) -> Individual:
-    return Individual(rec.x_seen, rec.f_seen, rec.f_original, rec.eval_index)
-
-
 class _RunState:
-    """Budget accounting, logging, and archiving shared by all runners."""
+    """Budget accounting, the column record, and archiving shared by all runners."""
 
     def __init__(self, inst: ProblemInstance, budget: int):
         self.inst = inst
-        self.budget = budget
-        self.log: list[EvaluationRecord] = []
+        self.x = np.empty((budget, inst.problem.dim))
+        self.f_seen = np.empty((budget, 2))
+        self.f_orig = np.empty((budget, 2))
+        self.used = 0
         self.archive = ParetoArchive()
 
     @property
     def remaining(self) -> int:
-        return self.budget - len(self.log)
+        return len(self.x) - self.used
 
-    def eval_batch(self, points: np.ndarray) -> list[Individual]:
-        records = evaluate_instance_batch(self.inst, points, len(self.log) + 1)
-        self.log.extend(records)
-        for rec in records:
-            self.archive.insert(rec.f_original, rec.eval_index)
-        return [_individual(r) for r in records]
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """Evaluate and record a (k, d) batch; returns its new row indices."""
+        f_seen, f_orig = evaluate_instance_batch(self.inst, points)
+        start, stop = self.used, self.used + len(f_orig)
+        self.x[start:stop] = points
+        self.f_seen[start:stop] = f_seen
+        self.f_orig[start:stop] = f_orig
+        self.used = stop
+        for eval_index, f in enumerate(f_orig.tolist(), start + 1):
+            self.archive.insert(f, eval_index)
+        return np.arange(start, stop)
 
-    def eval_one(self, x: np.ndarray) -> Individual:
-        rec = evaluate_instance(self.inst, x, len(self.log) + 1)
-        self.log.append(rec)
-        self.archive.insert(rec.f_original, rec.eval_index)
-        return _individual(rec)
+    def result(self, cfg: AlgoConfig, final_population) -> RunResult:
+        used = slice(self.used)
+        return RunResult(
+            cfg,
+            self.inst.descriptor,
+            self.x[used],
+            self.f_seen[used],
+            self.f_orig[used],
+            np.asarray(final_population, dtype=int),
+            self.archive,
+        )
 
 
 # --- variation operators --------------------------------------------------
@@ -306,17 +308,14 @@ def run_random_search(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
     """
     rng = np.random.default_rng(cfg.seed)
     state = _RunState(inst, cfg.budget)
-    points = rng.random((cfg.budget, inst.problem.dim))
-    individuals = state.eval_batch(points)
-    survivors = {idx for _, _, idx in state.archive.entries()}
-    final = [ind for ind in individuals if ind.eval_index in survivors]
-    return RunResult(cfg, inst.descriptor, state.log, final, state.archive)
+    state.evaluate(rng.random((cfg.budget, inst.problem.dim)))
+    return state.result(cfg, sorted(idx - 1 for _, _, idx in state.archive.entries()))
 
 
-def _variation_pair(pop, rank, crowd, rng):
+def _variation_pair(x, pop, rank, crowd, rng):
     i = _tournament(rank, crowd, rng)
     j = _tournament(rank, crowd, rng)
-    c1, c2 = sbx_crossover(pop[i].x, pop[j].x, SBX_ETA, SBX_PROB, rng)
+    c1, c2 = sbx_crossover(x[pop[i]], x[pop[j]], SBX_ETA, SBX_PROB, rng)
     d = len(c1)
     return (
         polynomial_mutation(c1, MUTATION_ETA, 1.0 / d, rng),
@@ -334,23 +333,22 @@ def run_nsga2(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
     rng = np.random.default_rng(cfg.seed)
     state = _RunState(inst, cfg.budget)
     n = cfg.population
-    pop = state.eval_batch(rng.random((n, inst.problem.dim)))
+    pop = state.evaluate(rng.random((n, inst.problem.dim)))
     while state.remaining > 0:
-        rank, crowd = _rank_and_crowding([ind.f_seen for ind in pop])
+        rank, crowd = _rank_and_crowding(state.f_seen[pop])
         children: list[np.ndarray] = []
         while len(children) < n:
-            c1, c2 = _variation_pair(pop, rank, crowd, rng)
+            c1, c2 = _variation_pair(state.x, pop, rank, crowd, rng)
             children.append(c1)
             if len(children) < n:
                 children.append(c2)
         full_generation = state.remaining >= n
-        offspring = state.eval_batch(np.array(children[: min(n, state.remaining)]))
+        offspring = state.evaluate(np.array(children[: min(n, state.remaining)]))
         if not full_generation:
             break
-        union = pop + offspring
-        keep = nsga2_survival([ind.f_seen for ind in union], n)
-        pop = [union[i] for i in keep]
-    return RunResult(cfg, inst.descriptor, state.log, pop, state.archive)
+        union = np.concatenate([pop, offspring])
+        pop = union[nsga2_survival(state.f_seen[union], n)]
+    return state.result(cfg, pop)
 
 
 def run_smsemoa(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
@@ -365,12 +363,12 @@ def run_smsemoa(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
     rng = np.random.default_rng(cfg.seed)
     state = _RunState(inst, cfg.budget)
     n = cfg.population
-    pop = state.eval_batch(rng.random((n, inst.problem.dim)))
-    rank, crowd = _rank_and_crowding([ind.f_seen for ind in pop])
+    pop = state.evaluate(rng.random((n, inst.problem.dim)))
+    rank, crowd = _rank_and_crowding(state.f_seen[pop])
     while state.remaining > 0:
-        child_x, _ = _variation_pair(pop, rank, crowd, rng)
-        pop.append(state.eval_one(child_x))
-        objs = np.array([ind.f_seen for ind in pop])
+        child_x, _ = _variation_pair(state.x, pop, rank, crowd, rng)
+        pop = np.concatenate([pop, state.evaluate(child_x[np.newaxis])])
+        objs = state.f_seen[pop]
         fronts = fast_nondominated_sort(objs)
         worst = fronts[-1]
         if len(worst) == 1:
@@ -384,13 +382,12 @@ def run_smsemoa(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
         for r, members in enumerate(fronts):
             rank_u[members] = r
             crowd_u[members] = crowding_distance(objs[members])
-        pop.pop(removed)
         keep = np.arange(n + 1) != removed
-        rank, crowd = rank_u[keep], crowd_u[keep]
+        pop, rank, crowd = pop[keep], rank_u[keep], crowd_u[keep]
         survivors = [i if i < removed else i - 1 for i in worst if i != removed]
         if survivors:
             crowd[survivors] = crowding_distance(objs[keep][survivors])
-    return RunResult(cfg, inst.descriptor, state.log, pop, state.archive)
+    return state.result(cfg, pop)
 
 
 def run_moead(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
@@ -408,8 +405,9 @@ def run_moead(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
     t_size = min(MOEAD_NEIGHBORS, n)
     dist = np.linalg.norm(weights[:, np.newaxis, :] - weights[np.newaxis, :, :], axis=2)
     neighborhoods = np.argsort(dist, axis=1, kind="stable")[:, :t_size]
-    pop = state.eval_batch(rng.random((n, inst.problem.dim)))
-    z = np.min([ind.f_seen for ind in pop], axis=0)
+    pop = state.evaluate(rng.random((n, inst.problem.dim)))
+    x, f_seen = state.x, state.f_seen
+    z = f_seen[pop].min(axis=0)
     while state.remaining > 0:
         for i in range(n):
             if state.remaining == 0:
@@ -419,16 +417,17 @@ def run_moead(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
             else:
                 pool = np.arange(n)
             p1, p2 = rng.choice(pool, size=2, replace=False)
-            c1, _ = sbx_crossover(pop[p1].x, pop[p2].x, SBX_ETA, SBX_PROB, rng)
+            c1, _ = sbx_crossover(x[pop[p1]], x[pop[p2]], SBX_ETA, SBX_PROB, rng)
             child_x = polynomial_mutation(c1, MUTATION_ETA, 1.0 / len(c1), rng)
-            child = state.eval_one(child_x)
-            z = np.minimum(z, child.f_seen)
+            (child,) = state.evaluate(child_x[np.newaxis])
+            f_child = f_seen[child]
+            z = np.minimum(z, f_child)
             for j in neighborhoods[i]:
-                if tchebycheff(child.f_seen, weights[j], z) < tchebycheff(
-                    pop[j].f_seen, weights[j], z
+                if tchebycheff(f_child, weights[j], z) < tchebycheff(
+                    f_seen[pop[j]], weights[j], z
                 ):
                     pop[j] = child
-    return RunResult(cfg, inst.descriptor, state.log, pop, state.archive)
+    return state.result(cfg, pop)
 
 
 _RUNNERS = {

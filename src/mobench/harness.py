@@ -21,8 +21,14 @@ import numpy as np
 
 from . import __version__
 from .algorithms import ALGORITHM_NAMES, AlgoConfig, RunResult, run_algorithm
-from .errors import ConfigError, ReportError
-from .indicators import NormalizationBox, ParetoArchive, compute_normalization, normalized_hv
+from .errors import ConfigError, DegenerateBaseError, ReportError
+from .indicators import (
+    NormalizationBox,
+    ParetoArchive,
+    compute_normalization,
+    normalized_hv,
+    relative_hv,
+)
 from .instance import ProblemInstance
 from .problems import ProblemId, list_problems, parse_problem_id
 from .transforms import BETA_CDF, IDENTITY, SPHERED_ROTATION, TransformSpec
@@ -284,17 +290,19 @@ def _run_id(summary_or_job) -> str:
 
 def _write_raw_log(result: RunResult, path: Path) -> None:
     # line format: eval_index,x_seen...,f_seen1,f_seen2,f_orig1,f_orig2
+    columns = np.hstack([result.x, result.f_seen, result.f_orig]).tolist()
     with path.open("w", encoding="utf-8") as fh:
-        for rec in result.log:
-            coords = ",".join(repr(v) for v in rec.x_seen)
-            fh.write(
-                f"{rec.eval_index},{coords},{rec.f_seen[0]!r},{rec.f_seen[1]!r},"
-                f"{rec.f_original[0]!r},{rec.f_original[1]!r}\n"
-            )
+        for eval_index, row in enumerate(columns, 1):
+            fh.write(f"{eval_index},{','.join(map(repr, row))}\n")
 
 
-def _summarize(job: Job, result: RunResult) -> RunSummary:
-    return RunSummary(
+def _execute_job(job: Job, output_dir: str | None) -> RunSummary:
+    """Run one job; a failure is recorded in the summary, never raised.
+
+    With an output directory, every job gets a `.json` sidecar and a
+    successful one also its raw `.log`.
+    """
+    header = dict(
         problem=str(job.instance.problem),
         instance=job.instance.descriptor,
         search_t=job.instance.search_t.to_config(),
@@ -303,36 +311,26 @@ def _summarize(job: Job, result: RunResult) -> RunSummary:
         population=job.algo.population,
         budget=job.algo.budget,
         seed=job.algo.seed,
-        accepted=list(result.archive.history),
-        final_pop_f=[ind.f_original for ind in result.final_population],
     )
-
-
-def _execute_job(job: Job, output_dir: str | None) -> RunSummary:
+    runs_dir = None if output_dir is None else Path(output_dir) / "runs"
     try:
         result = run_algorithm(job.instance, job.algo)
-        summary = _summarize(job, result)
-        if output_dir is not None:
-            runs_dir = Path(output_dir) / "runs"
-            runs_dir.mkdir(parents=True, exist_ok=True)
-            _write_raw_log(result, runs_dir / f"{_run_id(job)}.log")
-            meta = {k: v for k, v in summary.__dict__.items() if k != "accepted"}
-            (runs_dir / f"{_run_id(job)}.json").write_text(
-                json.dumps(meta), encoding="utf-8"
-            )
-        return summary
-    except Exception as exc:  # job failures are recorded, never abort the batch
-        return RunSummary(
-            problem=str(job.instance.problem),
-            instance=job.instance.descriptor,
-            search_t=job.instance.search_t.to_config(),
-            objective_t=job.instance.objective_t.to_config(),
-            algorithm=job.algo.name,
-            population=job.algo.population,
-            budget=job.algo.budget,
-            seed=job.algo.seed,
-            error=f"{type(exc).__name__}: {exc}",
+        summary = RunSummary(
+            **header,
+            accepted=list(result.archive.history),
+            final_pop_f=[tuple(f) for f in result.f_orig[result.final_population].tolist()],
         )
+        if runs_dir is not None:
+            _write_raw_log(result, runs_dir / f"{_run_id(job)}.log")
+    except Exception as exc:  # job failures are recorded, never abort the batch
+        summary = RunSummary(**header, error=f"{type(exc).__name__}: {exc}")
+    if runs_dir is not None:
+        meta = {k: v for k, v in summary.__dict__.items() if k != "accepted"}
+        try:
+            (runs_dir / f"{_run_id(job)}.json").write_text(json.dumps(meta), encoding="utf-8")
+        except OSError as exc:  # a run that cannot be persisted counts as failed
+            summary = RunSummary(**header, error=f"{type(exc).__name__}: {exc}")
+    return summary
 
 
 def execute(jobs: Sequence[Job], parallelism: int = 1, output_dir: str | None = None) -> list[RunSummary]:
@@ -340,7 +338,7 @@ def execute(jobs: Sequence[Job], parallelism: int = 1, output_dir: str | None = 
     if parallelism < 1:
         raise ConfigError("parallelism must be at least 1")
     if output_dir is not None:
-        Path(output_dir).mkdir(parents=True, exist_ok=True)
+        (Path(output_dir) / "runs").mkdir(parents=True, exist_ok=True)
     if parallelism == 1 or len(jobs) <= 1:
         return [_execute_job(job, output_dir) for job in jobs]
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
@@ -546,7 +544,10 @@ def report_relative_hv(rows: Sequence[RunRow]) -> list[dict]:
 
     Per-run ratios are taken against the mean base HV of the matching
     (problem, algorithm, population); instantiations get equal weight, then
-    problems are averaged within each (suite, dim, algorithm, family).
+    problems are averaged within each (suite, dim, algorithm, family), and
+    n_problems counts the problems averaged. A (problem, algorithm,
+    population) whose base runs have a mean HV of 0 is left out; one without
+    base runs raises ReportError.
     """
     base_hv: dict[tuple[str, str, int], list[float]] = {}
     for r in rows:
@@ -564,11 +565,13 @@ def report_relative_hv(rows: Sequence[RunRow]) -> list[dict]:
                 f"missing base (identity) runs for problem={r.problem} "
                 f"algorithm={r.algorithm} population={r.population}"
             )
-        if base_mean[key] <= 0.0:
-            raise ReportError(f"degenerate base hypervolume for {key}")
+        try:
+            ratio = relative_hv(r.final_pop_hv, base_mean[key])
+        except DegenerateBaseError:
+            continue  # a base without hypervolume gives no ratio
         family = transform_family(r.search_t, r.objective_t)
         inst_key = (r.problem, r.algorithm, r.instance, r.population, family)
-        inst_ratios.setdefault(inst_key, []).append(r.final_pop_hv / base_mean[key])
+        inst_ratios.setdefault(inst_key, []).append(ratio)
     # instantiation -> problem -> (suite, dim, algorithm, family)
     per_problem: dict[tuple[str, str, str], list[float]] = {}
     for (problem, algorithm, _inst, _pop, family), ratios in inst_ratios.items():

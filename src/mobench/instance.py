@@ -20,8 +20,6 @@ from .transforms import BETA_CDF, IDENTITY, SPHERED_ROTATION, TransformSpec, app
 
 __all__ = [
     "ProblemInstance",
-    "EvaluationRecord",
-    "evaluate_instance",
     "evaluate_instance_batch",
     "warp_objectives",
     "unwarp_objectives",
@@ -60,21 +58,27 @@ class ProblemInstance:
         return self.search_t.is_neutral and self.objective_t.is_neutral
 
 
-@dataclass(frozen=True, slots=True)
-class EvaluationRecord:
-    """One evaluation as logged: algorithm view plus original objectives."""
+def _warp_rows(t: TransformSpec, f: np.ndarray, fn) -> np.ndarray:
+    """Apply fn, the Beta CDF or its inverse, to the components of the (n, 2)
+    objective rows f that lie in [0, 1]; other components pass through.
 
-    eval_index: int
-    x_seen: np.ndarray
-    f_seen: tuple[float, float]
-    f_original: tuple[float, float]
-
-
-def _check_finite_pair(f) -> tuple[float, float]:
-    a, b = float(f[0]), float(f[1])
-    if not (a == a and b == b and abs(a) != float("inf") and abs(b) != float("inf")):
-        raise NumericError(f"objective pair must be finite, got {f!r}")
-    return a, b
+    One row goes through the scalar kernel and larger batches through the
+    array kernel; the two may differ by one ulp.
+    """
+    if not np.isfinite(f).all():
+        raise NumericError("objective values must be finite")
+    if t.kind == IDENTITY:
+        return f
+    if t.kind != BETA_CDF:
+        raise ParameterError(f"objective transform must be identity or beta_cdf, got {t.kind}")
+    out = f.copy()
+    inside = (f >= 0.0) & (f <= 1.0)
+    if len(f) == 1:
+        for j in np.flatnonzero(inside[0]):
+            out[0, j] = fn(float(f[0, j]), t.shape)
+    elif inside.any():
+        out[inside] = fn(f[inside], t.shape)
+    return out
 
 
 def warp_objectives(t: TransformSpec, f) -> tuple[float, float]:
@@ -84,80 +88,30 @@ def warp_objectives(t: TransformSpec, f) -> tuple[float, float]:
     through unchanged, which keeps the map continuous (the CDF fixes 0 and 1)
     and strictly increasing, so dominance relations are preserved.
     """
-    a, b = _check_finite_pair(f)
-    if t.kind == IDENTITY:
-        return a, b
-    if t.kind != BETA_CDF:
-        raise ParameterError(f"objective transform must be identity or beta_cdf, got {t.kind}")
-    if 0.0 <= a <= 1.0:
-        a = reg_inc_beta(a, t.shape)
-    if 0.0 <= b <= 1.0:
-        b = reg_inc_beta(b, t.shape)
+    a, b = _warp_rows(t, np.array([f], dtype=float), reg_inc_beta)[0].tolist()
     return a, b
 
 
 def unwarp_objectives(t: TransformSpec, f_seen) -> tuple[float, float]:
     """Invert warp_objectives (percent point function on the unit region)."""
-    a, b = _check_finite_pair(f_seen)
-    if t.kind == IDENTITY:
-        return a, b
-    if t.kind != BETA_CDF:
-        raise ParameterError(f"objective transform must be identity or beta_cdf, got {t.kind}")
-    if 0.0 <= a <= 1.0:
-        a = inv_reg_inc_beta(a, t.shape)
-    if 0.0 <= b <= 1.0:
-        b = inv_reg_inc_beta(b, t.shape)
+    a, b = _warp_rows(t, np.array([f_seen], dtype=float), inv_reg_inc_beta)[0].tolist()
     return a, b
 
 
-def evaluate_instance(inst: ProblemInstance, x_seen, eval_index: int) -> EvaluationRecord:
-    """Evaluate one algorithm-space point.
+def evaluate_instance_batch(inst: ProblemInstance, x_seen) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate a batch of algorithm-space points.
 
     Args:
         inst: The composed instance.
-        x_seen: Point in [0,1]^d as proposed by the algorithm.
-        eval_index: 1-based position of this evaluation in the run log.
+        x_seen: Points of shape (n, d) in [0,1]^d as proposed by the algorithm.
 
     Returns:
-        The full evaluation record (x_seen is copied).
-    """
-    x = np.array(x_seen, dtype=float)
-    x_inner = apply_forward(inst.search_t, x)
-    f_original = evaluate(inst.problem, x_inner)
-    f_seen = warp_objectives(inst.objective_t, f_original)
-    return EvaluationRecord(eval_index, x, f_seen, f_original)
-
-
-def evaluate_instance_batch(
-    inst: ProblemInstance, x_seen: np.ndarray, start_index: int
-) -> list[EvaluationRecord]:
-    """Evaluate a batch of points, assigning consecutive eval indices.
-
-    Equivalent to calling evaluate_instance row by row with indices
-    start_index, start_index+1, ... but warps the whole batch at once.
+        (f_seen, f_orig), each of shape (n, 2): the objectives the algorithm
+        sees and the original ones.
     """
     pts = np.asarray(x_seen, dtype=float)
     if pts.ndim != 2:
         raise DimensionError(f"expected a (n, d) batch, got shape {pts.shape}")
     inner = apply_forward(inst.search_t, pts)
-    f_orig = np.empty((len(pts), 2))
-    for i, row in enumerate(inner):
-        f_orig[i] = evaluate(inst.problem, row)
-    if not np.all(np.isfinite(f_orig)):
-        raise NumericError("objective values must be finite")
-    if inst.objective_t.kind == IDENTITY:
-        f_seen = f_orig
-    else:
-        f_seen = f_orig.copy()
-        mask = (f_orig >= 0.0) & (f_orig <= 1.0)
-        if mask.any():
-            f_seen[mask] = reg_inc_beta(f_orig[mask], inst.objective_t.shape)
-    return [
-        EvaluationRecord(
-            start_index + i,
-            pts[i].copy(),
-            (float(f_seen[i, 0]), float(f_seen[i, 1])),
-            (float(f_orig[i, 0]), float(f_orig[i, 1])),
-        )
-        for i in range(len(pts))
-    ]
+    f_orig = np.array([evaluate(inst.problem, row) for row in inner]).reshape(-1, 2)
+    return _warp_rows(inst.objective_t, f_orig, reg_inc_beta), f_orig

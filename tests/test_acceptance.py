@@ -297,12 +297,12 @@ def test_criterion_06_random_search_invariances():
     # (a) original-space log is bit-identical across every objective warp
     base = _instance(("dtlz", 3, 2))
     cfg = AlgoConfig("random_search", 100, 5000, seed=123)
-    reference = [rec.f_original for rec in run_random_search(base, cfg).log]
+    reference = run_random_search(base, cfg).f_orig
     for a in GRID:
         for b in GRID:
             inst = _instance(("dtlz", 3, 2), objective=TransformSpec.beta_cdf(a, b))
-            log = [rec.f_original for rec in run_random_search(inst, cfg).log]
-            if log != reference:
+            log = run_random_search(inst, cfg).f_orig
+            if not np.array_equal(log, reference):
                 failures.append(f"f_original log changed under objective warp ({a},{b})")
     # (b) archive HV varies < 3% across the five rotation instances
     t0 = time.perf_counter()

@@ -20,7 +20,7 @@ from mobench.algorithms import (
 )
 from mobench.errors import ParameterError
 from mobench.indicators import ParetoArchive, compute_normalization, hypervolume_2d, normalized_hv
-from mobench.instance import ProblemInstance
+from mobench.instance import ProblemInstance, evaluate_instance_batch
 from mobench.problems import ProblemId
 from mobench.transforms import TransformSpec
 
@@ -203,19 +203,23 @@ class TestRunContracts:
         cfg = AlgoConfig(name, population=10, budget=150, seed=77)
         r1 = RUNNERS[name](inst, cfg)
         r2 = RUNNERS[name](inst, cfg)
-        assert [rec.f_original for rec in r1.log] == [rec.f_original for rec in r2.log]
-        assert [tuple(ind.x) for ind in r1.final_population] == [
-            tuple(ind.x) for ind in r2.final_population
-        ]
+        np.testing.assert_array_equal(r1.f_orig, r2.f_orig)
+        np.testing.assert_array_equal(r1.final_population, r2.final_population)
+        np.testing.assert_array_equal(
+            r1.x[r1.final_population], r2.x[r2.final_population]
+        )
 
     def test_budget_exact_and_feasible(self, name):
         inst = make_instance(problem=("zdt", 3, 2))
         cfg = AlgoConfig(name, population=10, budget=157, seed=3)
         res = RUNNERS[name](inst, cfg)
-        assert len(res.log) == 157
-        assert [rec.eval_index for rec in res.log] == list(range(1, 158))
-        for rec in res.log:
-            assert np.all((rec.x_seen >= 0.0) & (rec.x_seen <= 1.0))
+        # row i is evaluation i + 1, and every row is a real evaluation
+        assert res.x.shape == (157, 2)
+        assert res.f_seen.shape == res.f_orig.shape == (157, 2)
+        np.testing.assert_array_equal(evaluate_instance_batch(inst, res.x)[1], res.f_orig)
+        np.testing.assert_array_equal(res.f_seen, res.f_orig)  # no objective warp
+        assert {i for i, _, _ in res.archive.history} <= set(range(1, 158))
+        assert np.all((res.x >= 0.0) & (res.x <= 1.0))
 
     def test_final_population_size(self, name):
         inst = make_instance(problem=("zdt", 1, 2))
@@ -223,7 +227,7 @@ class TestRunContracts:
         res = RUNNERS[name](inst, cfg)
         if name == "random_search":
             archive_idx = {i for _, _, i in res.archive.entries()}
-            assert {ind.eval_index for ind in res.final_population} == archive_idx
+            assert set((res.final_population + 1).tolist()) == archive_idx
         else:
             assert len(res.final_population) == 10
 
@@ -232,15 +236,14 @@ class TestRunContracts:
         cfg = AlgoConfig(name, population=10, budget=120, seed=11)
         res = RUNNERS[name](inst, cfg)
         expected = {}  # brute-force non-dominated filter of the full log
-        for rec in res.log:
-            f = rec.f_original
+        for eval_index, f in enumerate(map(tuple, res.f_orig.tolist()), 1):
             if f in expected or any(
                 q[0] <= f[0] and q[1] <= f[1] and q != f for q in expected
             ):
                 continue
             for q in [q for q in expected if f[0] <= q[0] and f[1] <= q[1] and q != f]:
                 del expected[q]
-            expected[f] = rec.eval_index
+            expected[f] = eval_index
         assert {(f1, f2): i for f1, f2, i in res.archive.entries()} == expected
 
 
@@ -252,13 +255,13 @@ class TestRandomSearchInvariances:
             make_instance(problem=("dtlz", 3, 2), objective=TransformSpec.beta_cdf(0.2, 5.0)),
             cfg,
         )
-        assert [r.f_original for r in plain.log] == [r.f_original for r in warped.log]
-        assert [r.f_seen for r in plain.log] != [r.f_seen for r in warped.log]
+        np.testing.assert_array_equal(plain.f_orig, warped.f_orig)
+        assert not np.array_equal(plain.f_seen, warped.f_seen)
 
     def test_all_points_in_cube(self):
         cfg = AlgoConfig("random_search", population=10, budget=500, seed=1)
         res = run_random_search(make_instance(), cfg)
-        xs = np.array([rec.x_seen for rec in res.log])
+        xs = res.x
         assert xs.shape == (500, 2)
         assert np.all((xs >= 0.0) & (xs <= 1.0))
 
@@ -301,8 +304,8 @@ class TestSanityOrdering:
                 fronts.append(res.archive.points())
         box = compute_normalization(fronts)
         for nsga_res, rs_res in results:
-            nsga_hv.append(normalized_hv([i.f_original for i in nsga_res.final_population], box))
-            rs_hv.append(normalized_hv([i.f_original for i in rs_res.final_population], box))
+            nsga_hv.append(normalized_hv(nsga_res.f_orig[nsga_res.final_population], box))
+            rs_hv.append(normalized_hv(rs_res.f_orig[rs_res.final_population], box))
         assert np.mean(nsga_hv) > np.mean(rs_hv)
 
 

@@ -1,6 +1,7 @@
 """Tests for experiment expansion, execution, persistence, and reports."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from mobench.harness import (
     report_ab_heatmap,
     report_hv_over_time,
     report_relative_hv,
+    transform_family,
 )
 from mobench.algorithms import AlgoConfig
 from mobench.instance import ProblemInstance
@@ -165,12 +167,36 @@ class TestExecute:
             Job(bad_instance, AlgoConfig("random_search", 4, 10, 0), 0),
             Job(good, AlgoConfig("random_search", 4, 10, 1), 0),
         ]
-        summaries = execute(jobs)
+        out = tmp_path / "out"
+        summaries = execute(jobs, output_dir=str(out))
         assert summaries[0].error is not None
         assert summaries[1].error is None  # batch completes past the failure
         path = emit_errors_csv(summaries, tmp_path / "errors.csv")
         content = path.read_text()
         assert "DimensionError" in content
+        # the failure is persisted as a sidecar without a raw log
+        reloaded = {s.seed: s for s in load_runs(out)}
+        assert reloaded[0].error == summaries[0].error
+        assert reloaded[0].accepted == [] and reloaded[0].final_pop_f == []
+        assert reloaded[1].error is None and reloaded[1].accepted
+        assert len(list((out / "runs").glob("*.json"))) == 2
+        assert len(list((out / "runs").glob("*.log"))) == 1
+
+    def test_unwritable_sidecar_recorded(self, tmp_path):
+        jobs = expand_matrix(
+            small_config(
+                algorithms=[{"name": "random_search", "population": 4}],
+                repetitions=1,
+                budget=12,
+            )
+        )[:2]
+        # a directory in the sidecar's place makes its write fail
+        algo = jobs[0].algo
+        run_id = f"{jobs[0].instance.descriptor}__{algo.name}__p{algo.population}__s{algo.seed}"
+        (tmp_path / "runs" / f"{run_id}.json").mkdir(parents=True)
+        summaries = execute(jobs, output_dir=str(tmp_path))
+        assert summaries[0].error.startswith("IsADirectoryError")
+        assert summaries[1].error is None  # the batch goes on
 
     def test_persist_and_reload(self, tmp_path):
         jobs = expand_matrix(small_config())
@@ -196,10 +222,13 @@ class TestExecute:
         log = next((tmp_path / "runs").glob("*.log"))
         lines = log.read_text().splitlines()
         assert len(lines) == 12
-        first = lines[0].split(",")
-        # eval_index, x1, x2, f_seen1, f_seen2, f_orig1, f_orig2
-        assert first[0] == "1"
-        assert len(first) == 1 + 2 + 2 + 2
+        # eval_index, x1, x2, f_seen1, f_seen2, f_orig1, f_orig2: plain numbers
+        table = np.array([[float(v) for v in line.split(",")] for line in lines])
+        assert table.shape == (12, 1 + 2 + 2 + 2)
+        assert [line.split(",", 1)[0] for line in lines] == [str(i) for i in range(1, 13)]
+        # random search evaluates its whole budget in one draw
+        drawn = np.random.default_rng(jobs[0].algo.seed).random((12, 2))
+        np.testing.assert_array_equal(table[:, 1:3], drawn)
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +349,25 @@ class TestReports:
         ]
         with pytest.raises(ReportError):
             report_relative_hv(no_base)
+
+    def test_relative_degenerate_base_left_out(self, grid_rows):
+        # a second problem whose nsga2 identity runs have no hypervolume
+        second = [
+            replace(r, problem="zdt2-d2", instance=r.instance.replace("zdt1", "zdt2"))
+            for r in grid_rows
+        ]
+        for r in second:
+            if r.algorithm == "nsga2" and transform_family(r.search_t, r.objective_t) == "identity":
+                r.final_pop_hv = 0.0
+        expected = {
+            (r["algorithm"], r["family"]): r["relative_hv"]
+            for r in report_relative_hv(grid_rows)
+        }
+        records = report_relative_hv(grid_rows + second)
+        assert {(r["algorithm"], r["family"]) for r in records} == set(expected)
+        for r in records:
+            assert r["relative_hv"] == expected[(r["algorithm"], r["family"])]
+            assert r["n_problems"] == (1 if r["algorithm"] == "nsga2" else 2)
 
     def test_over_time_consistency(self, grid_rows):
         records = report_hv_over_time(grid_rows, "zdt1-d2", "s:bcdf-a1-b1__o:id")

@@ -8,7 +8,6 @@ import pytest
 from mobench.errors import DimensionError, NumericError, ParameterError
 from mobench.instance import (
     ProblemInstance,
-    evaluate_instance,
     evaluate_instance_batch,
     unwarp_objectives,
     warp_objectives,
@@ -25,29 +24,34 @@ def make_instance(problem=("zdt", 1, 2), search=None, objective=None):
     )
 
 
+def evaluate_one(inst, x):
+    """Both objective pairs of one point, through a one-point batch."""
+    f_seen, f_orig = evaluate_instance_batch(inst, [x])
+    return tuple(f_seen[0].tolist()), tuple(f_orig[0].tolist())
+
+
 class TestEvaluateInstance:
     def test_neutral_composition(self):
-        rec = evaluate_instance(make_instance(), [0.0, 0.0], 1)
-        assert rec.f_seen == rec.f_original == (0.0, 1.0)
-        assert rec.eval_index == 1
+        f_seen, f_orig = evaluate_one(make_instance(), [0.0, 0.0])
+        assert f_seen == f_orig == (0.0, 1.0)
 
     def test_search_warp_composition(self):
         # BetaCdf(2,1) maps 0.5 -> 0.25; ZDT1 at (0.25, 0.25): g = 3.25
         inst = make_instance(search=TransformSpec.beta_cdf(2, 1))
-        rec = evaluate_instance(inst, [0.5, 0.5], 7)
-        assert rec.f_original[0] == pytest.approx(0.25, abs=1e-12)
+        f_seen, f_orig = evaluate_one(inst, [0.5, 0.5])
+        assert f_orig[0] == pytest.approx(0.25, abs=1e-12)
         expected_f2 = 3.25 * (1.0 - math.sqrt(0.25 / 3.25))
-        assert rec.f_original[1] == pytest.approx(expected_f2, abs=1e-9)
-        assert rec.f_seen == rec.f_original
+        assert f_orig[1] == pytest.approx(expected_f2, abs=1e-9)
+        assert f_seen == f_orig
 
     def test_objective_warp_leaves_original(self):
         inst = make_instance(
             problem=("dtlz", 1, 2), objective=TransformSpec.beta_cdf(1, 2)
         )
-        rec = evaluate_instance(inst, [0.5, 0.5], 1)
-        assert rec.f_original == pytest.approx((0.25, 0.25), abs=1e-12)
+        f_seen, f_orig = evaluate_one(inst, [0.5, 0.5])
+        assert f_orig == pytest.approx((0.25, 0.25), abs=1e-12)
         # 1 - (1 - 0.25)^2 = 0.4375
-        assert rec.f_seen == pytest.approx((0.4375, 0.4375), abs=1e-12)
+        assert f_seen == pytest.approx((0.4375, 0.4375), abs=1e-12)
 
     def test_batch_matches_single(self):
         inst = make_instance(
@@ -57,14 +61,26 @@ class TestEvaluateInstance:
         )
         rng = np.random.default_rng(0)
         pts = rng.random((50, 2))
-        batch = evaluate_instance_batch(inst, pts, 10)
-        for i, rec in enumerate(batch):
-            single = evaluate_instance(inst, pts[i], 10 + i)
-            assert rec.eval_index == single.eval_index == 10 + i
-            # paths may differ by an ulp in the warped point; the problem's
-            # gradient amplifies that slightly
-            np.testing.assert_allclose(rec.f_original, single.f_original, rtol=1e-9)
-            np.testing.assert_allclose(rec.f_seen, single.f_seen, rtol=1e-9, atol=1e-12)
+        f_seen, f_orig = evaluate_instance_batch(inst, pts)
+        assert f_seen.shape == f_orig.shape == (50, 2)
+        for i in range(len(pts)):
+            single_seen, single_orig = evaluate_one(inst, pts[i])
+            # one-point and larger batches warp objectives with different
+            # kernels, and the problem's gradient amplifies an ulp slightly
+            np.testing.assert_allclose(f_orig[i], single_orig, rtol=1e-9)
+            np.testing.assert_allclose(f_seen[i], single_seen, rtol=1e-9, atol=1e-12)
+
+    def test_one_point_batch_warps_like_warp_objectives(self):
+        t = TransformSpec.beta_cdf(0.5, 2.0)
+        inst = make_instance(problem=("zdt", 3, 2), objective=t)
+        rng = np.random.default_rng(3)
+        for x in rng.random((50, 2)):
+            f_seen, f_orig = evaluate_one(inst, x)
+            assert f_seen == warp_objectives(t, f_orig)
+
+    def test_batch_shape_error(self):
+        with pytest.raises(DimensionError):
+            evaluate_instance_batch(make_instance(), [0.5, 0.5])
 
     def test_descriptor(self):
         inst = make_instance(
@@ -159,9 +175,12 @@ class TestDominancePreservation:
         pts = rng.random((200, 2))
         plain = make_instance(problem=("zdt", 3, 2))
         warped = make_instance(problem=("zdt", 3, 2), objective=TransformSpec.beta_cdf(0.2, 5.0))
-        f_plain = [evaluate_instance(plain, p, i + 1).f_original for i, p in enumerate(pts)]
-        f_warped = [evaluate_instance(warped, p, i + 1).f_original for i, p in enumerate(pts)]
+        f_plain = [evaluate_one(plain, p)[1] for p in pts]
+        f_warped = [evaluate_one(warped, p)[1] for p in pts]
         assert f_plain == f_warped
+        np.testing.assert_array_equal(
+            evaluate_instance_batch(plain, pts)[1], evaluate_instance_batch(warped, pts)[1]
+        )
 
     def test_search_bijectivity_spot_check(self):
         rng = np.random.default_rng(17)
