@@ -14,6 +14,7 @@ probability 1/d.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -129,6 +130,22 @@ class _RunState:
 
 
 # --- variation operators --------------------------------------------------
+#
+# The operators do their arithmetic on Python floats, which round exactly like
+# numpy's elementwise ufuncs and cost far less per call on d-vectors. Powers
+# stay numpy array powers: numpy's float64 pow may differ from libm's in the
+# last bit, and the draws and results must not change.
+
+
+def _pow(values: list[float], exponent: float) -> list[float]:
+    return (np.array(values) ** exponent).tolist()
+
+
+def _clip_unit(v: float) -> float:
+    """np.clip(v, 0.0, 1.0) for one float: NaN stays NaN, -0.0 becomes 0.0."""
+    if v != v:
+        return v
+    return 0.0 if v <= 0.0 else 1.0 if v >= 1.0 else v
 
 
 def sbx_crossover(p1, p2, eta_c: float, p_c: float, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -142,15 +159,13 @@ def sbx_crossover(p1, p2, eta_c: float, p_c: float, rng) -> tuple[np.ndarray, np
     p2 = np.asarray(p2, dtype=float)
     if rng.random() >= p_c:
         return p1.copy(), p2.copy()
-    u = rng.random(p1.shape[0])
-    beta = np.where(
-        u <= 0.5,
-        (2.0 * u) ** (1.0 / (eta_c + 1.0)),
-        (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta_c + 1.0)),
-    )
-    c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
-    c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
-    return np.clip(c1, 0.0, 1.0), np.clip(c2, 0.0, 1.0)
+    u = rng.random(p1.shape[0]).tolist()
+    beta = _pow([2.0 * v if v <= 0.5 else 1.0 / (2.0 * (1.0 - v)) for v in u], 1.0 / (eta_c + 1.0))
+    c1, c2 = [], []
+    for b, a1, a2 in zip(beta, p1.tolist(), p2.tolist()):
+        c1.append(_clip_unit(0.5 * ((1.0 + b) * a1 + (1.0 - b) * a2)))
+        c2.append(_clip_unit(0.5 * ((1.0 - b) * a1 + (1.0 + b) * a2)))
+    return np.array(c1), np.array(c2)
 
 
 def polynomial_mutation(p, eta_m: float, p_m: float, rng) -> np.ndarray:
@@ -164,22 +179,19 @@ def polynomial_mutation(p, eta_m: float, p_m: float, rng) -> np.ndarray:
     gate = rng.random(x.shape[0])
     u = rng.random(x.shape[0])
     out = x.copy()
-    mut = gate < p_m
-    if not mut.any():
+    mut = np.flatnonzero(gate < p_m).tolist()
+    if not mut:
         return out
-    xm = x[mut]
-    um = u[mut]
-    mut_pow = 1.0 / (eta_m + 1.0)
+    xs, us = x.tolist(), u.tolist()
     # towards the lower bound for u < 0.5, upper bound otherwise
-    low = um < 0.5
-    xy = np.where(low, 1.0 - xm, xm)
-    val = np.where(
-        low,
-        2.0 * um + (1.0 - 2.0 * um) * xy ** (eta_m + 1.0),
-        2.0 * (1.0 - um) + 2.0 * (um - 0.5) * xy ** (eta_m + 1.0),
-    )
-    delta = np.where(low, val**mut_pow - 1.0, 1.0 - val**mut_pow)
-    out[mut] = np.clip(xm + delta, 0.0, 1.0)
+    low = [us[k] < 0.5 for k in mut]
+    xy = _pow([1.0 - xs[k] if lo else xs[k] for k, lo in zip(mut, low)], eta_m + 1.0)
+    val = [
+        2.0 * us[k] + (1.0 - 2.0 * us[k]) * t if lo else 2.0 * (1.0 - us[k]) + 2.0 * (us[k] - 0.5) * t
+        for k, lo, t in zip(mut, low, xy)
+    ]
+    for k, lo, v in zip(mut, low, _pow(val, 1.0 / (eta_m + 1.0))):
+        out[k] = _clip_unit(xs[k] + (v - 1.0 if lo else 1.0 - v))
     return out
 
 
@@ -195,25 +207,25 @@ def fast_nondominated_sort(objectives) -> list[list[int]]:
     Exact duplicates share the front of their first occurrence.
     """
     f = np.asarray(objectives, dtype=float)
-    n = len(f)
-    if n == 0:
+    if len(f) == 0:
         return []
     order = np.lexsort((f[:, 1], f[:, 0]))
     tails: list[float] = []  # current min f2 per front; non-decreasing
     fronts: list[list[int]] = []
-    seen: dict[tuple[float, float], int] = {}
-    for idx in order:
-        f1, f2 = float(f[idx, 0]), float(f[idx, 1])
-        r = seen.get((f1, f2))
-        if r is None:
+    prev = None
+    r = 0
+    # lexicographic order puts exact duplicates next to each other
+    for idx, point in zip(order.tolist(), f[order].tolist()):
+        if point != prev:
+            f2 = point[1]
             r = bisect_right(tails, f2)
             if r == len(tails):
                 tails.append(f2)
                 fronts.append([])
             else:
                 tails[r] = f2
-            seen[(f1, f2)] = r
-        fronts[r].append(int(idx))
+            prev = point
+        fronts[r].append(idx)
     return fronts
 
 
@@ -262,6 +274,53 @@ def nsga2_survival(objectives, capacity: int) -> list[int]:
     return chosen
 
 
+def _insert_into_fronts(fronts: list[list[tuple]], c: tuple) -> tuple[int, int]:
+    """Add key c = (f1, f2, row) to bi-objective fronts, in place.
+
+    Each front is a list of (f1, f2, row) keys in ascending order, the order
+    fast_nondominated_sort lists a front in when rows are positions; c's row
+    must exceed every other. c joins the first front with no member that
+    dominates it. The members it dominates there move one front down, and
+    each further front passes on the members dominated by those that came
+    in. Returns the range of front indices that changed.
+    """
+    f1, f2 = c[0], c[1]
+    probe = (f1, math.inf)  # sorts after every key with first objective <= f1
+    lo, hi = 0, len(fronts)
+    while lo < hi:  # "some member dominates c" holds for a prefix of the fronts
+        mid = (lo + hi) // 2
+        front = fronts[mid]
+        i = bisect_right(front, probe) - 1  # lowest f2 among f1 <= c's f1
+        if i >= 0 and front[i][1] <= f2 and front[i][:2] != c[:2]:
+            lo = mid + 1
+        else:
+            hi = mid
+    first = k = lo
+    if k == len(fronts):
+        fronts.append([c])
+        return first, k + 1
+    front = fronts[k]
+    pos = j = bisect_right(front, c)
+    while j < len(front) and front[j][1] >= f2:  # f2 falls along a front
+        j += 1
+    moved = front[pos:j]
+    front[pos:j] = [c]
+    while moved:
+        k += 1
+        if k == len(fronts):
+            fronts.append(moved)
+            break
+        kept, pushed = [], []
+        m = -1  # last moved key with f1 <= q's f1, the lowest f2 among them
+        for q in fronts[k]:
+            while m + 1 < len(moved) and moved[m + 1][0] <= q[0]:
+                m += 1
+            (pushed if m >= 0 and moved[m][1] <= q[1] else kept).append(q)
+        fronts[k] = sorted(kept + moved)
+        moved = pushed
+    return first, k + 1
+
+
 def _tournament(rank: np.ndarray, crowd: np.ndarray, rng) -> int:
     i, j = rng.integers(0, len(rank), size=2)
     if rank[i] != rank[j]:
@@ -274,20 +333,23 @@ def _tournament(rank: np.ndarray, crowd: np.ndarray, rng) -> int:
 def hv_contributions_2d(front_objectives, ref) -> np.ndarray:
     """Exclusive hypervolume of each member of a non-dominated 2-D front."""
     f = np.asarray(front_objectives, dtype=float)
-    n = len(f)
     order = np.lexsort((f[:, 1], f[:, 0]))
     fs = f[order]
-    contrib = np.empty(n)
-    for k in range(n):
-        right_f1 = fs[k + 1, 0] if k + 1 < n else ref[0]
-        upper_f2 = fs[k - 1, 1] if k > 0 else ref[1]
-        contrib[order[k]] = max(right_f1 - fs[k, 0], 0.0) * max(upper_f2 - fs[k, 1], 0.0)
+    right_f1 = np.concatenate((fs[1:, 0], [ref[0]]))
+    upper_f2 = np.concatenate(([ref[1]], fs[:-1, 1]))
+    contrib = np.empty(len(f))
+    contrib[order] = np.maximum(right_f1 - fs[:, 0], 0.0) * np.maximum(upper_f2 - fs[:, 1], 0.0)
     return contrib
 
 
-def tchebycheff(f, lam, z) -> float:
-    """Weighted Tchebycheff aggregation max_i lam_i |f_i - z_i|."""
-    return max(lam[0] * abs(f[0] - z[0]), lam[1] * abs(f[1] - z[1]))
+def tchebycheff(f, lam, z):
+    """Weighted Tchebycheff aggregation max_i lam_i |f_i - z_i|.
+
+    f and lam may be single pairs or (k, 2) rows; rows give k values.
+    """
+    f = np.asarray(f, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    return np.maximum(lam[..., 0] * np.abs(f[..., 0] - z[0]), lam[..., 1] * np.abs(f[..., 1] - z[1]))
 
 
 def moead_weights(population: int) -> np.ndarray:
@@ -355,38 +417,45 @@ def run_smsemoa(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
     """Steady-state SMS-EMOA: drop the smallest hypervolume contributor.
 
     Contributions are computed on the worst front in f_seen space against
-    that front's nadir shifted by (1, 1). One non-dominated sort per
-    iteration suffices: the removed member sits in the worst front and
-    dominates nobody, so the survivors keep their union ranks and only the
-    worst front's crowding needs refreshing for the next tournament.
+    that front's nadir shifted by (1, 1). The fronts are kept from one
+    iteration to the next: the child is inserted with _insert_into_fronts,
+    and the removed member sits in the worst front and dominates nobody, so
+    ranks and crowding distances change only on the fronts that changed.
     """
     rng = np.random.default_rng(cfg.seed)
     state = _RunState(inst, cfg.budget)
+    f_seen = state.f_seen
     n = cfg.population
-    pop = state.evaluate(rng.random((n, inst.problem.dim)))
-    rank, crowd = _rank_and_crowding(state.f_seen[pop])
+    pop = state.evaluate(rng.random((n, inst.problem.dim)))  # rows, kept ascending
+    rank, crowd = _rank_and_crowding(f_seen[pop])
+    keys = [(a, b, row) for row, (a, b) in zip(pop.tolist(), f_seen[pop].tolist())]
+    fronts = [[keys[i] for i in front] for front in fast_nondominated_sort(f_seen[pop])]
     while state.remaining > 0:
         child_x, _ = _variation_pair(state.x, pop, rank, crowd, rng)
-        pop = np.concatenate([pop, state.evaluate(child_x[np.newaxis])])
-        objs = state.f_seen[pop]
-        fronts = fast_nondominated_sort(objs)
+        (child,) = state.evaluate(child_x[np.newaxis])
+        first, stop = _insert_into_fronts(fronts, (*f_seen[child].tolist(), int(child)))
         worst = fronts[-1]
-        if len(worst) == 1:
-            removed = worst[0]
+        drop = 0
+        if len(worst) > 1:
+            front = f_seen[[row for _, _, row in worst]]
+            drop = int(np.argmin(hv_contributions_2d(front, front.max(axis=0) + 1.0)))
+        removed = worst.pop(drop)[2]
+        changed = set(range(first, min(stop, len(fronts))))
+        if worst:
+            changed.add(len(fronts) - 1)
         else:
-            front = objs[worst]
-            ref = front.max(axis=0) + 1.0
-            removed = worst[int(np.argmin(hv_contributions_2d(front, ref)))]
-        rank_u = np.empty(n + 1, dtype=int)
-        crowd_u = np.empty(n + 1)
-        for r, members in enumerate(fronts):
-            rank_u[members] = r
-            crowd_u[members] = crowding_distance(objs[members])
-        keep = np.arange(n + 1) != removed
-        pop, rank, crowd = pop[keep], rank_u[keep], crowd_u[keep]
-        survivors = [i if i < removed else i - 1 for i in worst if i != removed]
-        if survivors:
-            crowd[survivors] = crowding_distance(objs[keep][survivors])
+            fronts.pop()
+            changed.discard(len(fronts))
+        pop = np.append(pop, child)
+        rank = np.append(rank, 0)
+        crowd = np.append(crowd, 0.0)
+        for r in changed:
+            rows = [row for _, _, row in fronts[r]]
+            at = np.searchsorted(pop, rows)
+            rank[at] = r
+            crowd[at] = crowding_distance(f_seen[rows])
+        keep = pop != removed
+        pop, rank, crowd = pop[keep], rank[keep], crowd[keep]
     return state.result(cfg, pop)
 
 
@@ -422,11 +491,11 @@ def run_moead(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
             (child,) = state.evaluate(child_x[np.newaxis])
             f_child = f_seen[child]
             z = np.minimum(z, f_child)
-            for j in neighborhoods[i]:
-                if tchebycheff(f_child, weights[j], z) < tchebycheff(
-                    f_seen[pop[j]], weights[j], z
-                ):
-                    pop[j] = child
+            # each neighbour is tested once against its own incumbent, so
+            # testing them together equals replacing one at a time
+            nb = neighborhoods[i]
+            better = tchebycheff(f_child, weights[nb], z) < tchebycheff(f_seen[pop[nb]], weights[nb], z)
+            pop[nb[better]] = child
     return state.result(cfg, pop)
 
 

@@ -388,15 +388,16 @@ def checkpoint_grid(population: int, budget: int, n: int = N_CHECKPOINTS) -> lis
 
 
 def compute_boxes(summaries: Iterable[RunSummary]) -> dict[str, NormalizationBox]:
-    """Normalization box per base problem, pooled across all its runs."""
+    """Normalization box per base problem, pooled across all its runs.
+
+    A run's archive is the non-dominated subset of its accepted points, so
+    pooling the accepted points gives the same box.
+    """
     fronts: dict[str, list[list[tuple[float, float]]]] = {}
     for s in summaries:
         if s.error is not None:
             continue
-        archive = ParetoArchive()
-        for idx, f1, f2 in s.accepted:
-            archive.insert((f1, f2), idx)
-        fronts.setdefault(s.problem, []).append(archive.points())
+        fronts.setdefault(s.problem, []).append([(f1, f2) for _, f1, f2 in s.accepted])
     return {problem: compute_normalization(runs) for problem, runs in fronts.items()}
 
 

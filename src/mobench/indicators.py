@@ -130,24 +130,29 @@ def compute_normalization(fronts: Iterable[Iterable]) -> NormalizationBox:
     the re-filter the nadir blows up on problems with large objective ranges
     and normalized hypervolume saturates for every algorithm.
 
+    The ideal is the pooled minimum of each objective. The nadir comes from
+    the two ends of the non-dominated set: the lowest f2 among the points
+    with the lowest f1, and the lowest f1 among those with the lowest f2.
+
     Args:
-        fronts: One point collection per run (each already non-dominated).
+        fronts: One point collection per run; points dominated within or
+            across runs do not change the box.
 
     Returns:
         Ideal/nadir box spanning the pooled non-dominated set.
     """
-    pooled = ParetoArchive()
-    seen = False
-    for front in fronts:
-        for f in front:
-            seen = True
-            pooled.insert(f, 0)
-    if not seen:
+    pts = np.concatenate(
+        [np.empty((0, 2))] + [np.asarray(front, dtype=float).reshape(-1, 2) for front in fronts]
+    )
+    if not len(pts):
         raise DegenerateNormalizationError("no points to normalize")
-    pts = np.asarray(pooled.points())
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    return NormalizationBox(ideal=(float(lo[0]), float(lo[1])), nadir=(float(hi[0]), float(hi[1])))
+    if not np.isfinite(pts).all():
+        bad = pts[~np.isfinite(pts).all(axis=1)][0]
+        raise NumericError(f"objective pair must be finite, got {tuple(bad.tolist())!r}")
+    f1, f2 = pts[:, 0], pts[:, 1]
+    lo1, lo2 = f1.min(), f2.min()
+    hi1, hi2 = f1[f2 == lo2].min(), f2[f1 == lo1].min()
+    return NormalizationBox(ideal=(float(lo1), float(lo2)), nadir=(float(hi1), float(hi2)))
 
 
 def normalized_hv(points, box: NormalizationBox) -> float:

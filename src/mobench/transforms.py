@@ -215,9 +215,9 @@ def _as_points(x, t: TransformSpec) -> tuple[np.ndarray, bool]:
         raise DimensionError(f"expected a point or a batch of points, got shape {pts.shape}")
     if pts.shape[1] == 0:
         raise DimensionError("points must have at least one coordinate")
-    if not np.all(np.isfinite(pts)):
-        raise DomainError("point coordinates must be finite")
-    if np.any(pts < 0.0) or np.any(pts > 1.0):
+    if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):  # false for NaN too
+        if not np.isfinite(pts).all():
+            raise DomainError("point coordinates must be finite")
         raise DomainError("point coordinates must lie in [0, 1]")
     if t.kind == SPHERED_ROTATION and pts.shape[1] != t.rotation.dim:
         raise DimensionError(
@@ -227,7 +227,14 @@ def _as_points(x, t: TransformSpec) -> tuple[np.ndarray, bool]:
 
 
 def _clamp_unit(pts: np.ndarray) -> np.ndarray:
-    excess = max(float(np.max(pts - 1.0, initial=0.0)), float(np.max(-pts, initial=0.0)))
+    """Clip a freshly computed batch to [0, 1]; a batch inside (0, 1] needs
+    no clipping and is returned as it is."""
+    if not pts.size:
+        return pts
+    lo, hi = float(pts.min()), float(pts.max())
+    if lo > 0.0 and hi <= 1.0:
+        return pts
+    excess = max(hi - 1.0, -lo)  # NaN when pts holds NaN, which clip keeps
     if excess > _CLAMP_TOL:
         raise NumericError(f"transform left the unit cube by {excess:.3e}")
     return np.clip(pts, 0.0, 1.0)
@@ -254,7 +261,7 @@ def _rotate(pts: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 def _warp(pts: np.ndarray, shape: ShapeParams, inverse: bool) -> np.ndarray:
     fn = inv_reg_inc_beta if inverse else reg_inc_beta
     if pts.size <= 16:  # scalar path beats numpy dispatch for single points
-        out = np.array([fn(float(v), shape) for v in pts.ravel()])
+        out = np.array([fn(v, shape) for v in pts.ravel().tolist()])
         return out.reshape(pts.shape)
     return fn(pts, shape)
 

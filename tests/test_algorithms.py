@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobench.algorithms import (
     AlgoConfig,
+    _insert_into_fronts,
+    _rank_and_crowding,
+    _RunState,
+    _variation_pair,
     crowding_distance,
     fast_nondominated_sort,
     hv_contributions_2d,
@@ -138,8 +144,38 @@ class TestRanking:
     def test_against_brute_force(self):
         rng = np.random.default_rng(5)
         pts = np.round(rng.random((200, 2)) * 10) / 10
-        got = [sorted(f) for f in fast_nondominated_sort(pts)]
-        assert got == brute_force_fronts(pts)
+        fronts = fast_nondominated_sort(pts)
+        assert [sorted(f) for f in fronts] == brute_force_fronts(pts)
+        # SMS-EMOA breaks contribution ties by position in the worst front,
+        # so each front lists its members by (f1, f2, index)
+        for front in fronts:
+            assert front == sorted(front, key=lambda i: (pts[i, 0], pts[i, 1], i))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=80),
+        st.integers(2, 25),
+        st.randoms(use_true_random=False),
+    )
+    def test_insert_into_fronts_matches_full_sort(self, points, capacity, random):
+        # grow a population one point at a time, dropping a worst-front member
+        # once it exceeds the capacity, as SMS-EMOA does
+        pts = np.array(points, dtype=float) / 6
+        fronts, rows = [], []
+        for row, (a, b) in enumerate(pts.tolist()):
+            first, stop = _insert_into_fronts(fronts, (a, b, row))
+            rows.append(row)
+            if len(rows) > capacity:
+                worst = fronts[-1]
+                rows.remove(worst.pop(random.randrange(len(worst)))[2])
+                if not worst:
+                    fronts.pop()
+            expected = [
+                [(pts[rows[i], 0], pts[rows[i], 1], rows[i]) for i in front]
+                for front in fast_nondominated_sort(pts[rows])
+            ]
+            assert fronts == expected
+            assert 0 <= first < stop
 
     def test_crowding_two_points(self):
         d = crowding_distance([(0.0, 1.0), (1.0, 0.0)])
@@ -173,10 +209,71 @@ class TestRanking:
         np.testing.assert_allclose(contrib, [0.5, 0.25, 0.5])
         assert int(np.argmin(contrib)) == 1
 
+    def test_hv_contributions_match_boxes(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            pts = rng.random((30, 2))
+            front = pts[fast_nondominated_sort(pts)[0]]
+            ref = front.max(axis=0) + 1.0
+            by_f1 = sorted(range(len(front)), key=lambda i: tuple(front[i]))
+            expected = np.empty(len(front))
+            for k, i in enumerate(by_f1):
+                right = front[by_f1[k + 1], 0] if k + 1 < len(front) else ref[0]
+                upper = front[by_f1[k - 1], 1] if k > 0 else ref[1]
+                expected[i] = (right - front[i, 0]) * (upper - front[i, 1])
+            np.testing.assert_array_equal(hv_contributions_2d(front, ref), expected)
+
+
+def _reference_smsemoa(inst, cfg):
+    """SMS-EMOA with a full non-dominated sort and crowding pass per step."""
+    rng = np.random.default_rng(cfg.seed)
+    state = _RunState(inst, cfg.budget)
+    n = cfg.population
+    pop = state.evaluate(rng.random((n, inst.problem.dim)))
+    rank, crowd = _rank_and_crowding(state.f_seen[pop])
+    while state.remaining > 0:
+        child_x, _ = _variation_pair(state.x, pop, rank, crowd, rng)
+        pop = np.concatenate([pop, state.evaluate(child_x[np.newaxis])])
+        objs = state.f_seen[pop]
+        worst = fast_nondominated_sort(objs)[-1]
+        removed = worst[0]
+        if len(worst) > 1:
+            front = objs[worst]
+            removed = worst[int(np.argmin(hv_contributions_2d(front, front.max(axis=0) + 1.0)))]
+        pop = np.delete(pop, removed)
+        rank, crowd = _rank_and_crowding(state.f_seen[pop])
+    return state.result(cfg, pop)
+
+
+@pytest.mark.parametrize(
+    "problem,search",
+    [
+        (("zdt", 3, 2), TransformSpec.beta_cdf(0.2, 5.0)),
+        (("dtlz", 1, 2), TransformSpec.sphered_rotation(dim=2, seed=2)),
+        (("zdt", 1, 10), TransformSpec.identity()),
+    ],
+)
+@pytest.mark.parametrize("population", [10, 40])
+def test_smsemoa_matches_reference(problem, search, population):
+    inst = ProblemInstance(ProblemId(*problem), search, TransformSpec.identity())
+    cfg = AlgoConfig("smsemoa", population, 800, seed=population)
+    got, want = run_smsemoa(inst, cfg), _reference_smsemoa(inst, cfg)
+    np.testing.assert_array_equal(got.x, want.x)
+    np.testing.assert_array_equal(got.final_population, want.final_population)
+
 
 class TestMoeadPieces:
     def test_tchebycheff(self):
         assert tchebycheff((0.5, 0.5), (1.0, 0.0), (0.0, 0.0)) == 0.5
+
+    def test_tchebycheff_rows(self):
+        rng = np.random.default_rng(2)
+        f, lam, z = rng.random((20, 2)), moead_weights(20), rng.random(2) * 0.1
+        got = tchebycheff(f, lam, z)
+        assert got.shape == (20,)
+        for k in range(20):
+            assert got[k] == tchebycheff(f[k], lam[k], z)
+            assert got[k] == max(lam[k, 0] * abs(f[k, 0] - z[0]), lam[k, 1] * abs(f[k, 1] - z[1]))
 
     def test_weights_pop3(self):
         np.testing.assert_allclose(

@@ -173,6 +173,31 @@ class TestNormalization:
         with pytest.raises(DegenerateNormalizationError):
             compute_normalization([[]])
 
+    def test_matches_pooled_archive(self):
+        # the box spans the non-dominated set an archive of all points keeps
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            fronts = [
+                np.round(rng.random((rng.integers(1, 30), 2)) * 8) / 8
+                for _ in range(rng.integers(1, 5))
+            ]
+            archive = ParetoArchive()
+            for front in fronts:
+                for f in front:
+                    archive.insert(f, 0)
+            pts = np.asarray(archive.points())
+            ideal, nadir = tuple(pts.min(axis=0).tolist()), tuple(pts.max(axis=0).tolist())
+            if ideal[0] < nadir[0] and ideal[1] < nadir[1]:
+                box = compute_normalization(fronts)
+                assert (box.ideal, box.nadir) == (ideal, nadir)
+            else:
+                with pytest.raises(DegenerateNormalizationError):
+                    compute_normalization(fronts)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(NumericError):
+            compute_normalization([[(0.0, 1.0)], [(math.nan, 0.5)]])
+
     def test_normalized_hv_examples(self):
         box = NormalizationBox((0.0, 0.0), (2.0, 4.0))
         assert normalized_hv([(0.0, 0.0)], box) == 1.0
