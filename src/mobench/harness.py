@@ -132,7 +132,6 @@ class ExperimentConfig:
 class Job:
     instance: ProblemInstance
     algo: AlgoConfig
-    rep: int
 
 
 @dataclass
@@ -268,13 +267,7 @@ def expand_matrix(cfg: ExperimentConfig) -> list[Job]:
                     seed = _job_seed(
                         cfg.base_seed, inst.descriptor, algo["name"], population, rep
                     )
-                    jobs.append(
-                        Job(
-                            inst,
-                            AlgoConfig(algo["name"], population, budget, seed),
-                            rep,
-                        )
-                    )
+                    jobs.append(Job(inst, AlgoConfig(algo["name"], population, budget, seed)))
     return jobs
 
 

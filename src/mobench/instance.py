@@ -9,14 +9,14 @@ the original ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, NumericError, ParameterError
-from .problems import ProblemId, evaluate
+from .problems import ProblemId, batch_kernel, check_unit
 from .specfun import inv_reg_inc_beta, reg_inc_beta
-from .transforms import BETA_CDF, IDENTITY, SPHERED_ROTATION, TransformSpec, apply_forward
+from .transforms import BETA_CDF, IDENTITY, SPHERED_ROTATION, TransformSpec, transform_batch
 
 __all__ = [
     "ProblemInstance",
@@ -33,8 +33,10 @@ class ProblemInstance:
     problem: ProblemId
     search_t: TransformSpec
     objective_t: TransformSpec
+    _kernel: object = field(init=False, compare=False, repr=False)  # batch_kernel(problem)
 
     def __post_init__(self):
+        object.__setattr__(self, "_kernel", batch_kernel(self.problem))
         if self.objective_t.kind not in (IDENTITY, BETA_CDF):
             raise ParameterError(
                 f"objective transform must be identity or beta_cdf, got {self.objective_t.kind}"
@@ -110,8 +112,9 @@ def evaluate_instance_batch(inst: ProblemInstance, x_seen) -> tuple[np.ndarray, 
         sees and the original ones.
     """
     pts = np.asarray(x_seen, dtype=float)
-    if pts.ndim != 2:
-        raise DimensionError(f"expected a (n, d) batch, got shape {pts.shape}")
-    inner = apply_forward(inst.search_t, pts)
-    f_orig = np.array([evaluate(inst.problem, row) for row in inner]).reshape(-1, 2)
+    if pts.ndim != 2 or pts.shape[1] != inst.problem.dim:
+        raise DimensionError(f"expected a (n, {inst.problem.dim}) batch, got shape {pts.shape}")
+    check_unit(pts)
+    inner = transform_batch(inst.search_t, pts, inverse=False)
+    f_orig = inst._kernel(inner)
     return _warp_rows(inst.objective_t, f_orig, reg_inc_beta), f_orig

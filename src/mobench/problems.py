@@ -2,15 +2,16 @@
 
 Suites: ZDT (1,2,3,4,6), DTLZ (1-7, two objectives, k = d-1 distance
 variables), and six 2-D problems from the CEC'19 multimodal multiobjective
-collection (MMF). Evaluation maps the unit-cube point affinely onto each
+collection (MMF). Evaluation maps unit-cube points affinely onto each
 problem's native box before applying the published formula; both objectives
-are minimized.
+are minimized. Each formula is written once, over an (n, d) array of points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .errors import DimensionError, DomainError, UnknownProblemError
 __all__ = [
     "ProblemId",
     "NativeBounds",
+    "batch_kernel",
     "evaluate",
     "native_bounds",
     "list_problems",
@@ -78,74 +80,86 @@ def list_problems() -> list[ProblemId]:
     return out
 
 
+# --- formulas -----------------------------------------------------------
+#
+# Each formula maps an (n, d) array of native points to its (f1, f2) columns.
+# Where the published formula applies sin, cos, exp or pow to one value, the
+# kernel calls that libm function per element (_libm): numpy's own exp and
+# power round differently on some hosts, and the bits must not depend on it.
+
+
+def _libm(fn, a: np.ndarray, *args) -> np.ndarray:
+    return np.array([fn(v, *args) for v in a.tolist()])
+
+
 # --- ZDT ---------------------------------------------------------------
 
 
 def _zdt1(x):
-    f1 = x[0]
-    g = 1.0 + 9.0 * float(np.sum(x[1:])) / (len(x) - 1)
-    return f1, g * (1.0 - math.sqrt(f1 / g))
+    f1 = x[:, 0]
+    g = 1.0 + 9.0 * x[:, 1:].sum(axis=1) / (x.shape[1] - 1)
+    return f1, g * (1.0 - np.sqrt(f1 / g))
 
 
 def _zdt2(x):
-    f1 = x[0]
-    g = 1.0 + 9.0 * float(np.sum(x[1:])) / (len(x) - 1)
-    return f1, g * (1.0 - (f1 / g) ** 2)
+    f1 = x[:, 0]
+    g = 1.0 + 9.0 * x[:, 1:].sum(axis=1) / (x.shape[1] - 1)
+    return f1, g * (1.0 - _libm(math.pow, f1 / g, 2.0))
 
 
 def _zdt3(x):
-    f1 = x[0]
-    g = 1.0 + 9.0 * float(np.sum(x[1:])) / (len(x) - 1)
+    f1 = x[:, 0]
+    g = 1.0 + 9.0 * x[:, 1:].sum(axis=1) / (x.shape[1] - 1)
     r = f1 / g
-    return f1, g * (1.0 - math.sqrt(r) - r * math.sin(10.0 * math.pi * f1))
+    return f1, g * (1.0 - np.sqrt(r) - r * _libm(math.sin, 10.0 * math.pi * f1))
 
 
 def _zdt4(x):
-    f1 = x[0]
-    tail = x[1:]
-    g = 1.0 + 10.0 * (len(x) - 1) + float(
-        np.sum(tail * tail - 10.0 * np.cos(4.0 * math.pi * tail))
-    )
-    return f1, g * (1.0 - math.sqrt(f1 / g))
+    f1 = x[:, 0]
+    tail = x[:, 1:]
+    g = 1.0 + 10.0 * (x.shape[1] - 1) + (
+        tail * tail - 10.0 * np.cos(4.0 * math.pi * tail)
+    ).sum(axis=1)
+    return f1, g * (1.0 - np.sqrt(f1 / g))
 
 
 def _zdt6(x):
-    f1 = 1.0 - math.exp(-4.0 * x[0]) * math.sin(6.0 * math.pi * x[0]) ** 6
-    g = 1.0 + 9.0 * (float(np.sum(x[1:])) / (len(x) - 1)) ** 0.25
-    return f1, g * (1.0 - (f1 / g) ** 2)
+    x0 = x[:, 0]
+    s6 = _libm(math.pow, _libm(math.sin, 6.0 * math.pi * x0), 6.0)
+    f1 = 1.0 - _libm(math.exp, -4.0 * x0) * s6
+    g = 1.0 + 9.0 * _libm(math.pow, x[:, 1:].sum(axis=1) / (x.shape[1] - 1), 0.25)
+    return f1, g * (1.0 - _libm(math.pow, f1 / g, 2.0))
 
 
 # --- DTLZ with two objectives (k = d - 1 distance variables) -------------
 
 
 def _dtlz_g1(tail):
-    k = len(tail)
-    return 100.0 * (
-        k + float(np.sum((tail - 0.5) ** 2 - np.cos(20.0 * math.pi * (tail - 0.5))))
-    )
+    c = tail - 0.5
+    return 100.0 * (tail.shape[1] + (c**2 - np.cos(20.0 * math.pi * c)).sum(axis=1))
 
 
 def _dtlz1(x):
-    g = _dtlz_g1(x[1:])
-    return 0.5 * x[0] * (1.0 + g), 0.5 * (1.0 - x[0]) * (1.0 + g)
+    h = 1.0 + _dtlz_g1(x[:, 1:])
+    return 0.5 * x[:, 0] * h, 0.5 * (1.0 - x[:, 0]) * h
+
+
+def _dtlz_arc(g, angle):
+    h = 1.0 + g
+    return h * _libm(math.cos, angle), h * _libm(math.sin, angle)
 
 
 def _dtlz2(x):
-    g = float(np.sum((x[1:] - 0.5) ** 2))
-    angle = 0.5 * math.pi * x[0]
-    return (1.0 + g) * math.cos(angle), (1.0 + g) * math.sin(angle)
+    return _dtlz_arc(((x[:, 1:] - 0.5) ** 2).sum(axis=1), 0.5 * math.pi * x[:, 0])
 
 
 def _dtlz3(x):
-    g = _dtlz_g1(x[1:])
-    angle = 0.5 * math.pi * x[0]
-    return (1.0 + g) * math.cos(angle), (1.0 + g) * math.sin(angle)
+    return _dtlz_arc(_dtlz_g1(x[:, 1:]), 0.5 * math.pi * x[:, 0])
 
 
 def _dtlz4(x, alpha=100.0):
-    g = float(np.sum((x[1:] - 0.5) ** 2))
-    angle = 0.5 * math.pi * x[0] ** alpha
-    return (1.0 + g) * math.cos(angle), (1.0 + g) * math.sin(angle)
+    angle = 0.5 * math.pi * _libm(math.pow, x[:, 0], alpha)
+    return _dtlz_arc(((x[:, 1:] - 0.5) ** 2).sum(axis=1), angle)
 
 
 def _dtlz5(x):
@@ -154,15 +168,13 @@ def _dtlz5(x):
 
 
 def _dtlz6(x):
-    g = float(np.sum(x[1:] ** 0.1))
-    angle = 0.5 * math.pi * x[0]
-    return (1.0 + g) * math.cos(angle), (1.0 + g) * math.sin(angle)
+    return _dtlz_arc((x[:, 1:] ** 0.1).sum(axis=1), 0.5 * math.pi * x[:, 0])
 
 
 def _dtlz7(x):
-    g = 1.0 + 9.0 * float(np.mean(x[1:]))
-    f1 = x[0]
-    h = 2.0 - f1 / (1.0 + g) * (1.0 + math.sin(3.0 * math.pi * f1))
+    g = 1.0 + 9.0 * x[:, 1:].mean(axis=1)
+    f1 = x[:, 0]
+    h = 2.0 - f1 / (1.0 + g) * (1.0 + _libm(math.sin, 3.0 * math.pi * f1))
     return f1, (1.0 + g) * h
 
 
@@ -170,66 +182,52 @@ def _dtlz7(x):
 
 
 def _mmf1(x):
-    f1 = abs(x[0] - 2.0)
-    return f1, 1.0 - math.sqrt(f1) + 2.0 * (x[1] - math.sin(6.0 * math.pi * f1 + math.pi)) ** 2
+    f1 = np.abs(x[:, 0] - 2.0)
+    s = _libm(math.sin, 6.0 * math.pi * f1 + math.pi)
+    return f1, 1.0 - np.sqrt(f1) + 2.0 * _libm(math.pow, x[:, 1] - s, 2.0)
 
 
 def _mmf2(x):
-    f1 = x[0]
-    root = math.sqrt(x[0])
-    y2 = x[1] - root if x[1] < 1.0 else x[1] - 1.0 - root
+    f1, x2 = x[:, 0], x[:, 1]
+    root = np.sqrt(f1)
+    y2 = np.where(x2 < 1.0, x2 - root, x2 - 1.0 - root)
     return f1, 1.0 - root + 2.0 * (
-        4.0 * y2 * y2 - 2.0 * math.cos(20.0 * y2 * math.pi / math.sqrt(2.0)) + 2.0
+        4.0 * y2 * y2 - 2.0 * _libm(math.cos, 20.0 * y2 * math.pi / math.sqrt(2.0)) + 2.0
     )
 
 
 def _mmf4(x):
-    f1 = abs(x[0])
-    y2 = x[1] - math.sin(math.pi * f1) if x[1] < 1.0 else x[1] - 1.0 - math.sin(math.pi * f1)
-    return f1, 1.0 - x[0] * x[0] + 2.0 * y2 * y2
+    x1, x2 = x[:, 0], x[:, 1]
+    f1 = np.abs(x1)
+    s = _libm(math.sin, math.pi * f1)
+    y2 = np.where(x2 < 1.0, x2 - s, x2 - 1.0 - s)
+    return f1, 1.0 - x1 * x1 + 2.0 * y2 * y2
 
 
 def _mmf5(x):
-    f1 = abs(x[0] - 2.0)
-    s = math.sin(6.0 * math.pi * f1 + math.pi)
-    y2 = x[1] - s if x[1] < 1.0 else x[1] - 1.0 - s
-    return f1, 1.0 - math.sqrt(f1) + 2.0 * y2 * y2
+    f1, x2 = np.abs(x[:, 0] - 2.0), x[:, 1]
+    s = _libm(math.sin, 6.0 * math.pi * f1 + math.pi)
+    y2 = np.where(x2 < 1.0, x2 - s, x2 - 1.0 - s)
+    return f1, 1.0 - np.sqrt(f1) + 2.0 * y2 * y2
 
 
 def _mmf7(x):
-    f1 = abs(x[0] - 2.0)
-    amp = 0.3 * f1 * f1 * math.cos(24.0 * math.pi * f1 + 4.0 * math.pi) + 0.6 * f1
-    return f1, 1.0 - math.sqrt(f1) + (x[1] - amp * math.sin(6.0 * math.pi * f1 + math.pi)) ** 2
+    f1 = np.abs(x[:, 0] - 2.0)
+    amp = 0.3 * f1 * f1 * _libm(math.cos, 24.0 * math.pi * f1 + 4.0 * math.pi) + 0.6 * f1
+    s = _libm(math.sin, 6.0 * math.pi * f1 + math.pi)
+    return f1, 1.0 - np.sqrt(f1) + _libm(math.pow, x[:, 1] - amp * s, 2.0)
 
 
 def _mmf8(x):
-    s = math.sin(abs(x[0]))
-    f1 = s
-    base = s + abs(x[0])
-    y2 = x[1] - base if x[1] < 4.0 else x[1] - 4.0 - base
-    return f1, math.sqrt(max(1.0 - s * s, 0.0)) + 2.0 * y2 * y2
+    a, x2 = np.abs(x[:, 0]), x[:, 1]
+    s = _libm(math.sin, a)
+    base = s + a
+    y2 = np.where(x2 < 4.0, x2 - base, x2 - 4.0 - base)
+    return s, np.sqrt(np.maximum(1.0 - s * s, 0.0)) + 2.0 * y2 * y2
 
 
-_EVALUATORS = {
-    ("zdt", 1): _zdt1,
-    ("zdt", 2): _zdt2,
-    ("zdt", 3): _zdt3,
-    ("zdt", 4): _zdt4,
-    ("zdt", 6): _zdt6,
-    ("dtlz", 1): _dtlz1,
-    ("dtlz", 2): _dtlz2,
-    ("dtlz", 3): _dtlz3,
-    ("dtlz", 4): _dtlz4,
-    ("dtlz", 5): _dtlz5,
-    ("dtlz", 6): _dtlz6,
-    ("dtlz", 7): _dtlz7,
-    ("mmf", 1): _mmf1,
-    ("mmf", 2): _mmf2,
-    ("mmf", 4): _mmf4,
-    ("mmf", 5): _mmf5,
-    ("mmf", 7): _mmf7,
-    ("mmf", 8): _mmf8,
-}
+# every valid (suite, index) has its formula under the name _<suite><index>
+_KERNELS = {(s, i): globals()[f"_{s}{i}"] for s, indices in _VALID_INDICES.items() for i in indices}
 
 _MMF_BOUNDS = {
     1: ([1.0, -1.0], [3.0, 1.0]),
@@ -241,7 +239,8 @@ _MMF_BOUNDS = {
 }
 
 
-def _build_bounds(pid: ProblemId) -> NativeBounds:
+def native_bounds(pid: ProblemId) -> NativeBounds:
+    """Published variable bounds of the problem's native search space."""
     if pid.suite == "mmf":
         lower, upper = _MMF_BOUNDS[pid.index]
         return NativeBounds(np.array(lower), np.array(upper))
@@ -253,17 +252,30 @@ def _build_bounds(pid: ProblemId) -> NativeBounds:
     return NativeBounds(np.zeros(pid.dim), np.ones(pid.dim))
 
 
-_BOUNDS_CACHE: dict[ProblemId, NativeBounds] = {}
+def _evaluate_unit(formula, lower: np.ndarray, span: np.ndarray, x: np.ndarray) -> np.ndarray:
+    f = np.empty((len(x), 2))
+    f[:, 0], f[:, 1] = formula(lower + x * span)
+    return f
 
 
-def native_bounds(pid: ProblemId) -> NativeBounds:
-    """Published variable bounds of the problem's native search space."""
-    cached = _BOUNDS_CACHE.get(pid)
-    if cached is None:
-        cached = _BOUNDS_CACHE[pid] = _build_bounds(pid)
-        cached.lower.setflags(write=False)
-        cached.upper.setflags(write=False)
-    return cached
+def batch_kernel(pid: ProblemId):
+    """The problem as one function of an (n, d) batch of unit-cube points.
+
+    The function maps the batch onto the native box, applies the formula once
+    and returns the (n, 2) objectives. It checks nothing: callers validate.
+    """
+    b = native_bounds(pid)
+    formula = _KERNELS[(pid.suite, pid.index)]
+    # a partial, not a closure: instances holding it pickle to worker processes
+    return partial(_evaluate_unit, formula, b.lower[np.newaxis], (b.upper - b.lower)[np.newaxis])
+
+
+def check_unit(x: np.ndarray) -> None:
+    """Raise DomainError unless every coordinate of x lies in [0, 1]."""
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # false for NaN too
+        if not np.isfinite(x).all():
+            raise DomainError("point coordinates must be finite")
+        raise DomainError("point coordinates must lie in [0, 1]")
 
 
 def evaluate(pid: ProblemId, x_unit) -> tuple[float, float]:
@@ -279,11 +291,5 @@ def evaluate(pid: ProblemId, x_unit) -> tuple[float, float]:
     x = np.asarray(x_unit, dtype=float)
     if x.shape != (pid.dim,):
         raise DimensionError(f"expected shape ({pid.dim},), got {x.shape}")
-    if not ((x >= 0.0) & (x <= 1.0)).all():  # also catches NaN
-        if not np.all(np.isfinite(x)):
-            raise DomainError("point coordinates must be finite")
-        raise DomainError("point coordinates must lie in [0, 1]")
-    bounds = native_bounds(pid)
-    native = bounds.lower + x * (bounds.upper - bounds.lower)
-    f1, f2 = _EVALUATORS[(pid.suite, pid.index)](native)
-    return float(f1), float(f2)
+    check_unit(x)
+    return tuple(batch_kernel(pid)(x[np.newaxis])[0].tolist())

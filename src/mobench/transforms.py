@@ -20,13 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionError,
-    DomainError,
-    NumericError,
-    ParameterError,
-)
+from .errors import ConfigError, DimensionError, NumericError, ParameterError
+from .problems import check_unit
 from .specfun import ShapeParams, inv_reg_inc_beta, reg_inc_beta
 
 __all__ = [
@@ -215,14 +210,7 @@ def _as_points(x, t: TransformSpec) -> tuple[np.ndarray, bool]:
         raise DimensionError(f"expected a point or a batch of points, got shape {pts.shape}")
     if pts.shape[1] == 0:
         raise DimensionError("points must have at least one coordinate")
-    if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):  # false for NaN too
-        if not np.isfinite(pts).all():
-            raise DomainError("point coordinates must be finite")
-        raise DomainError("point coordinates must lie in [0, 1]")
-    if t.kind == SPHERED_ROTATION and pts.shape[1] != t.rotation.dim:
-        raise DimensionError(
-            f"point dimension {pts.shape[1]} does not match rotation dim {t.rotation.dim}"
-        )
+    check_unit(pts)
     return pts, single
 
 
@@ -242,17 +230,17 @@ def _clamp_unit(pts: np.ndarray) -> np.ndarray:
 
 def _rotate(pts: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     z = 2.0 * pts - 1.0
-    ninf = np.max(np.abs(z), axis=1)
+    ninf = np.abs(z).max(axis=1)
     nonzero = ninf > 0.0
     out = pts.copy()
-    if not np.any(nonzero):
+    if not nonzero.any():
         return out
     z = z[nonzero]
-    n2 = np.sqrt(np.sum(z * z, axis=1))
+    n2 = np.sqrt((z * z).sum(axis=1))
     u = z * (ninf[nonzero] / n2)[:, np.newaxis]
     v = u @ matrix.T
-    v2 = np.sqrt(np.sum(v * v, axis=1))
-    vinf = np.max(np.abs(v), axis=1)
+    v2 = np.sqrt((v * v).sum(axis=1))
+    vinf = np.abs(v).max(axis=1)
     zp = v * (v2 / vinf)[:, np.newaxis]
     out[nonzero] = (zp + 1.0) / 2.0
     return out
@@ -266,15 +254,24 @@ def _warp(pts: np.ndarray, shape: ShapeParams, inverse: bool) -> np.ndarray:
     return fn(pts, shape)
 
 
+def transform_batch(t: TransformSpec, pts: np.ndarray, inverse: bool) -> np.ndarray:
+    """Apply t, or its inverse, to an (n, d) batch already checked to lie in
+    [0, 1]^d. The identity returns pts itself."""
+    if t.kind == IDENTITY:
+        return pts
+    if t.kind == BETA_CDF:
+        return _clamp_unit(_warp(pts, t.shape, inverse))
+    if pts.shape[1] != t.rotation.dim:
+        raise DimensionError(
+            f"point dimension {pts.shape[1]} does not match rotation dim {t.rotation.dim}"
+        )
+    m = t.rotation.entries
+    return _clamp_unit(_rotate(pts, m.T if inverse else m))
+
+
 def _apply(t: TransformSpec, x, inverse: bool):
     pts, single = _as_points(x, t)
-    if t.kind == IDENTITY:
-        out = pts.copy()
-    elif t.kind == BETA_CDF:
-        out = _clamp_unit(_warp(pts, t.shape, inverse))
-    else:
-        m = t.rotation.entries
-        out = _clamp_unit(_rotate(pts, m.T if inverse else m))
+    out = pts.copy() if t.kind == IDENTITY else transform_batch(t, pts, inverse)
     return out[0] if single else out
 
 

@@ -318,6 +318,20 @@ class TestRunContracts:
         assert {i for i, _, _ in res.archive.history} <= set(range(1, 158))
         assert np.all((res.x >= 0.0) & (res.x <= 1.0))
 
+    def test_one_formula_call_per_batch(self, name):
+        inst = make_instance(problem=("zdt", 1, 2))
+        formula, batches = inst._kernel, []
+
+        def counted(x):
+            batches.append(len(x))
+            return formula(x)
+
+        object.__setattr__(inst, "_kernel", counted)
+        RUNNERS[name](inst, AlgoConfig(name, population=10, budget=95, seed=2))
+        # a generation, a random-search batch or a steady-state step is one call
+        per_run = {"random_search": [95], "nsga2": [10] * 9 + [5]}
+        assert batches == per_run.get(name, [10] + [1] * 85)
+
     def test_final_population_size(self, name):
         inst = make_instance(problem=("zdt", 1, 2))
         cfg = AlgoConfig(name, population=10, budget=105, seed=5)

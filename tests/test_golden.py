@@ -99,7 +99,7 @@ def golden_jobs() -> list[Job]:
             TransformSpec.from_config(search, dim=pid.dim),
             TransformSpec.from_config(objective, dim=pid.dim),
         )
-        jobs.append(Job(inst, AlgoConfig(name, population, budget, seed), 0))
+        jobs.append(Job(inst, AlgoConfig(name, population, budget, seed)))
     return jobs
 
 

@@ -164,8 +164,8 @@ class TestExecute:
             ProblemId("zdt", 1, 2), TransformSpec.identity(), TransformSpec.identity()
         )
         jobs = [
-            Job(bad_instance, AlgoConfig("random_search", 4, 10, 0), 0),
-            Job(good, AlgoConfig("random_search", 4, 10, 1), 0),
+            Job(bad_instance, AlgoConfig("random_search", 4, 10, 0)),
+            Job(good, AlgoConfig("random_search", 4, 10, 1)),
         ]
         out = tmp_path / "out"
         summaries = execute(jobs, output_dir=str(out))

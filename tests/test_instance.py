@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mobench.errors import DimensionError, NumericError, ParameterError
+from mobench.errors import DimensionError, DomainError, NumericError, ParameterError
 from mobench.instance import (
     ProblemInstance,
     evaluate_instance_batch,
@@ -81,6 +81,28 @@ class TestEvaluateInstance:
     def test_batch_shape_error(self):
         with pytest.raises(DimensionError):
             evaluate_instance_batch(make_instance(), [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            TransformSpec.identity(),
+            TransformSpec.beta_cdf(0.5, 2.0),
+            TransformSpec.sphered_rotation(dim=2, seed=1),
+        ],
+        ids=["identity", "beta", "rotation"],
+    )
+    def test_batch_error_contract(self, search):
+        inst = make_instance(search=search)
+        pts = np.random.default_rng(4).random((50, 2))
+        pts[17] = np.nan
+        with pytest.raises(DomainError, match="must be finite"):
+            evaluate_instance_batch(inst, pts)
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+            evaluate_instance_batch(inst, [[0.3, 1.2]])
+        with pytest.raises(DimensionError):
+            evaluate_instance_batch(inst, np.full((4, 3), 0.5))
+        with pytest.raises(DimensionError):
+            evaluate_instance_batch(inst, [0.5, 0.5])
 
     def test_descriptor(self):
         inst = make_instance(

@@ -8,6 +8,7 @@ import pytest
 from mobench.errors import DimensionError, DomainError, UnknownProblemError
 from mobench.problems import (
     ProblemId,
+    batch_kernel,
     evaluate,
     list_problems,
     native_bounds,
@@ -186,3 +187,187 @@ class TestProperties:
             evaluate(pid, [1.2, 0.0])
         with pytest.raises(DomainError):
             evaluate(pid, [float("nan"), 0.0])
+
+
+# --- reference: the one-point scalar formulas ------------------------------
+#
+# The array kernels must reproduce these bit for bit: libm's sin, cos, exp and
+# pow where these apply them to a single value, numpy where these use numpy.
+
+
+def _ref_zdt1(x):
+    f1 = x[0]
+    g = 1.0 + 9.0 * float(np.sum(x[1:])) / (len(x) - 1)
+    return f1, g * (1.0 - math.sqrt(f1 / g))
+
+
+def _ref_zdt2(x):
+    f1 = x[0]
+    g = 1.0 + 9.0 * float(np.sum(x[1:])) / (len(x) - 1)
+    return f1, g * (1.0 - (f1 / g) ** 2)
+
+
+def _ref_zdt3(x):
+    f1 = x[0]
+    g = 1.0 + 9.0 * float(np.sum(x[1:])) / (len(x) - 1)
+    r = f1 / g
+    return f1, g * (1.0 - math.sqrt(r) - r * math.sin(10.0 * math.pi * f1))
+
+
+def _ref_zdt4(x):
+    f1 = x[0]
+    tail = x[1:]
+    g = 1.0 + 10.0 * (len(x) - 1) + float(
+        np.sum(tail * tail - 10.0 * np.cos(4.0 * math.pi * tail))
+    )
+    return f1, g * (1.0 - math.sqrt(f1 / g))
+
+
+def _ref_zdt6(x):
+    f1 = 1.0 - math.exp(-4.0 * x[0]) * math.sin(6.0 * math.pi * x[0]) ** 6
+    g = 1.0 + 9.0 * (float(np.sum(x[1:])) / (len(x) - 1)) ** 0.25
+    return f1, g * (1.0 - (f1 / g) ** 2)
+
+
+def _ref_dtlz_g1(tail):
+    k = len(tail)
+    return 100.0 * (
+        k + float(np.sum((tail - 0.5) ** 2 - np.cos(20.0 * math.pi * (tail - 0.5))))
+    )
+
+
+def _ref_dtlz1(x):
+    g = _ref_dtlz_g1(x[1:])
+    return 0.5 * x[0] * (1.0 + g), 0.5 * (1.0 - x[0]) * (1.0 + g)
+
+
+def _ref_dtlz2(x):
+    g = float(np.sum((x[1:] - 0.5) ** 2))
+    angle = 0.5 * math.pi * x[0]
+    return (1.0 + g) * math.cos(angle), (1.0 + g) * math.sin(angle)
+
+
+def _ref_dtlz3(x):
+    g = _ref_dtlz_g1(x[1:])
+    angle = 0.5 * math.pi * x[0]
+    return (1.0 + g) * math.cos(angle), (1.0 + g) * math.sin(angle)
+
+
+def _ref_dtlz4(x, alpha=100.0):
+    g = float(np.sum((x[1:] - 0.5) ** 2))
+    angle = 0.5 * math.pi * x[0] ** alpha
+    return (1.0 + g) * math.cos(angle), (1.0 + g) * math.sin(angle)
+
+
+def _ref_dtlz6(x):
+    g = float(np.sum(x[1:] ** 0.1))
+    angle = 0.5 * math.pi * x[0]
+    return (1.0 + g) * math.cos(angle), (1.0 + g) * math.sin(angle)
+
+
+def _ref_dtlz7(x):
+    g = 1.0 + 9.0 * float(np.mean(x[1:]))
+    f1 = x[0]
+    h = 2.0 - f1 / (1.0 + g) * (1.0 + math.sin(3.0 * math.pi * f1))
+    return f1, (1.0 + g) * h
+
+
+def _ref_mmf1(x):
+    f1 = abs(x[0] - 2.0)
+    return f1, 1.0 - math.sqrt(f1) + 2.0 * (x[1] - math.sin(6.0 * math.pi * f1 + math.pi)) ** 2
+
+
+def _ref_mmf2(x):
+    f1 = x[0]
+    root = math.sqrt(x[0])
+    y2 = x[1] - root if x[1] < 1.0 else x[1] - 1.0 - root
+    return f1, 1.0 - root + 2.0 * (
+        4.0 * y2 * y2 - 2.0 * math.cos(20.0 * y2 * math.pi / math.sqrt(2.0)) + 2.0
+    )
+
+
+def _ref_mmf4(x):
+    f1 = abs(x[0])
+    y2 = x[1] - math.sin(math.pi * f1) if x[1] < 1.0 else x[1] - 1.0 - math.sin(math.pi * f1)
+    return f1, 1.0 - x[0] * x[0] + 2.0 * y2 * y2
+
+
+def _ref_mmf5(x):
+    f1 = abs(x[0] - 2.0)
+    s = math.sin(6.0 * math.pi * f1 + math.pi)
+    y2 = x[1] - s if x[1] < 1.0 else x[1] - 1.0 - s
+    return f1, 1.0 - math.sqrt(f1) + 2.0 * y2 * y2
+
+
+def _ref_mmf7(x):
+    f1 = abs(x[0] - 2.0)
+    amp = 0.3 * f1 * f1 * math.cos(24.0 * math.pi * f1 + 4.0 * math.pi) + 0.6 * f1
+    return f1, 1.0 - math.sqrt(f1) + (x[1] - amp * math.sin(6.0 * math.pi * f1 + math.pi)) ** 2
+
+
+def _ref_mmf8(x):
+    s = math.sin(abs(x[0]))
+    f1 = s
+    base = s + abs(x[0])
+    y2 = x[1] - base if x[1] < 4.0 else x[1] - 4.0 - base
+    return f1, math.sqrt(max(1.0 - s * s, 0.0)) + 2.0 * y2 * y2
+
+
+REFERENCE = {
+    ("zdt", 1): _ref_zdt1,
+    ("zdt", 2): _ref_zdt2,
+    ("zdt", 3): _ref_zdt3,
+    ("zdt", 4): _ref_zdt4,
+    ("zdt", 6): _ref_zdt6,
+    ("dtlz", 1): _ref_dtlz1,
+    ("dtlz", 2): _ref_dtlz2,
+    ("dtlz", 3): _ref_dtlz3,
+    ("dtlz", 4): _ref_dtlz4,
+    ("dtlz", 5): _ref_dtlz2,  # with two objectives DTLZ5 is DTLZ2
+    ("dtlz", 6): _ref_dtlz6,
+    ("dtlz", 7): _ref_dtlz7,
+    ("mmf", 1): _ref_mmf1,
+    ("mmf", 2): _ref_mmf2,
+    ("mmf", 4): _ref_mmf4,
+    ("mmf", 5): _ref_mmf5,
+    ("mmf", 7): _ref_mmf7,
+    ("mmf", 8): _ref_mmf8,
+}
+
+# native x2 where an MMF formula switches branch
+_MMF_SWITCH = {2: 1.0, 4: 1.0, 5: 1.0, 8: 4.0}
+
+
+def _test_points(pid: ProblemId) -> np.ndarray:
+    """2000 seeded random unit points, every corner of the cube for d = 2 (the
+    all-zero and all-one points otherwise), and for MMF points on both sides
+    of each branch switch and on it."""
+    rng = np.random.default_rng(1000 + 10 * pid.index + pid.dim)
+    d = pid.dim
+    if d == 2:
+        corners = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+    else:
+        corners = [[0.0] * d, [1.0] * d]
+    pts = [rng.random((2000, d)), np.array(corners)]
+    if pid.suite == "mmf" and pid.index in _MMF_SWITCH:
+        b = native_bounds(pid)
+        at = (_MMF_SWITCH[pid.index] - b.lower[1]) / (b.upper[1] - b.lower[1])
+        x2 = np.array([at, np.nextafter(at, 0.0), np.nextafter(at, 1.0), at / 2, (1 + at) / 2])
+        pts.append(np.column_stack([rng.random(len(x2)), x2]))
+    return np.vstack(pts)
+
+
+@pytest.mark.parametrize("pid", list_problems(), ids=str)
+def test_kernel_matches_scalar_reference_exactly(pid):
+    x = _test_points(pid)
+    f = batch_kernel(pid)(x)
+    b = native_bounds(pid)
+    ref = REFERENCE[(pid.suite, pid.index)]
+    expected = np.array([ref(b.lower + row * (b.upper - b.lower)) for row in x], dtype=float)
+    assert f.shape == (len(x), 2)
+    assert (f == expected).all(), np.argwhere(f != expected)[:5]
+    for i in (*range(20), *range(2000, len(x))):
+        out = evaluate(pid, x[i])
+        assert type(out) is tuple and len(out) == 2
+        assert all(type(v) is float for v in out)
+        assert out == tuple(f[i].tolist())
