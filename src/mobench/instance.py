@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NumericError, ParameterError
-from .problems import ProblemId, batch_kernel, check_unit
+from .problems import ProblemId, batch_kernel
 from .specfun import inv_reg_inc_beta, reg_inc_beta
-from .transforms import BETA_CDF, IDENTITY, SPHERED_ROTATION, TransformSpec, transform_batch
+from .transforms import BETA_CDF, IDENTITY, SPHERED_ROTATION, TransformSpec, check_unit, transform_batch
 
 __all__ = [
     "ProblemInstance",

@@ -15,7 +15,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, UnknownProblemError
+from .errors import DimensionError, UnknownProblemError
+from .transforms import check_unit
 
 __all__ = [
     "ProblemId",
@@ -162,11 +163,6 @@ def _dtlz4(x, alpha=100.0):
     return _dtlz_arc(((x[:, 1:] - 0.5) ** 2).sum(axis=1), angle)
 
 
-def _dtlz5(x):
-    # with two objectives the theta mapping leaves the first angle untouched
-    return _dtlz2(x)
-
-
 def _dtlz6(x):
     return _dtlz_arc((x[:, 1:] ** 0.1).sum(axis=1), 0.5 * math.pi * x[:, 0])
 
@@ -226,8 +222,14 @@ def _mmf8(x):
     return s, np.sqrt(np.maximum(1.0 - s * s, 0.0)) + 2.0 * y2 * y2
 
 
-# every valid (suite, index) has its formula under the name _<suite><index>
-_KERNELS = {(s, i): globals()[f"_{s}{i}"] for s, indices in _VALID_INDICES.items() for i in indices}
+_KERNELS = {
+    ("zdt", 1): _zdt1, ("zdt", 2): _zdt2, ("zdt", 3): _zdt3, ("zdt", 4): _zdt4, ("zdt", 6): _zdt6,
+    ("dtlz", 1): _dtlz1, ("dtlz", 2): _dtlz2, ("dtlz", 3): _dtlz3, ("dtlz", 4): _dtlz4,
+    ("dtlz", 5): _dtlz2,  # with two objectives DTLZ5's theta map leaves the angle as it is
+    ("dtlz", 6): _dtlz6, ("dtlz", 7): _dtlz7,
+    ("mmf", 1): _mmf1, ("mmf", 2): _mmf2, ("mmf", 4): _mmf4, ("mmf", 5): _mmf5, ("mmf", 7): _mmf7,
+    ("mmf", 8): _mmf8,
+}
 
 _MMF_BOUNDS = {
     1: ([1.0, -1.0], [3.0, 1.0]),
@@ -268,14 +270,6 @@ def batch_kernel(pid: ProblemId):
     formula = _KERNELS[(pid.suite, pid.index)]
     # a partial, not a closure: instances holding it pickle to worker processes
     return partial(_evaluate_unit, formula, b.lower[np.newaxis], (b.upper - b.lower)[np.newaxis])
-
-
-def check_unit(x: np.ndarray) -> None:
-    """Raise DomainError unless every coordinate of x lies in [0, 1]."""
-    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # false for NaN too
-        if not np.isfinite(x).all():
-            raise DomainError("point coordinates must be finite")
-        raise DomainError("point coordinates must lie in [0, 1]")
 
 
 def evaluate(pid: ProblemId, x_unit) -> tuple[float, float]:

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError, ParameterError
-from .problems import check_unit
+from .errors import ConfigError, DimensionError, DomainError, NumericError, ParameterError
 from .specfun import ShapeParams, inv_reg_inc_beta, reg_inc_beta
 
 __all__ = [
@@ -199,14 +198,20 @@ def rotation_matrix_2d(angle: float) -> RotationMatrix:
     return RotationMatrix(dim=2, entries=np.array([[c, -s], [s, c]]))
 
 
-def _as_points(x, t: TransformSpec) -> tuple[np.ndarray, bool]:
+def check_unit(x: np.ndarray) -> None:
+    """Raise DomainError unless every coordinate of x lies in [0, 1]."""
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # false for NaN too
+        if not np.isfinite(x).all():
+            raise DomainError("point coordinates must be finite")
+        raise DomainError("point coordinates must lie in [0, 1]")
+
+
+def _as_points(x) -> tuple[np.ndarray, bool]:
     pts = np.asarray(x, dtype=float)
-    if pts.ndim == 1:
+    single = pts.ndim == 1
+    if single:
         pts = pts[np.newaxis, :]
-        single = True
-    elif pts.ndim == 2:
-        single = False
-    else:
+    elif pts.ndim != 2:
         raise DimensionError(f"expected a point or a batch of points, got shape {pts.shape}")
     if pts.shape[1] == 0:
         raise DimensionError("points must have at least one coordinate")
@@ -270,8 +275,9 @@ def transform_batch(t: TransformSpec, pts: np.ndarray, inverse: bool) -> np.ndar
 
 
 def _apply(t: TransformSpec, x, inverse: bool):
-    pts, single = _as_points(x, t)
-    out = pts.copy() if t.kind == IDENTITY else transform_batch(t, pts, inverse)
+    pts, single = _as_points(x)
+    out = transform_batch(t, pts, inverse)
+    out = out.copy() if out is pts else out  # the identity hands back its input
     return out[0] if single else out
 
 
