@@ -15,7 +15,7 @@ probability 1/d.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,24 +175,21 @@ def polynomial_mutation(p, eta_m: float, p_m: float, rng) -> np.ndarray:
     of length d, always consumed). A delta draw of exactly 0.5 leaves the
     coordinate unchanged.
     """
-    x = np.asarray(p, dtype=float)
-    gate = rng.random(x.shape[0])
-    u = rng.random(x.shape[0])
-    out = x.copy()
-    mut = np.flatnonzero(gate < p_m).tolist()
-    if not mut:
-        return out
-    xs, us = x.tolist(), u.tolist()
-    # towards the lower bound for u < 0.5, upper bound otherwise
-    low = [us[k] < 0.5 for k in mut]
-    xy = _pow([1.0 - xs[k] if lo else xs[k] for k, lo in zip(mut, low)], eta_m + 1.0)
-    val = [
-        2.0 * us[k] + (1.0 - 2.0 * us[k]) * t if lo else 2.0 * (1.0 - us[k]) + 2.0 * (us[k] - 0.5) * t
-        for k, lo, t in zip(mut, low, xy)
-    ]
-    for k, lo, v in zip(mut, low, _pow(val, 1.0 / (eta_m + 1.0))):
-        out[k] = _clip_unit(xs[k] + (v - 1.0 if lo else 1.0 - v))
-    return out
+    xs = np.asarray(p, dtype=float).tolist()
+    gate = rng.random(len(xs)).tolist()
+    us = rng.random(len(xs)).tolist()
+    mut = [k for k, g in enumerate(gate) if g < p_m]
+    if mut:
+        # towards the lower bound for u < 0.5, upper bound otherwise
+        low = [us[k] < 0.5 for k in mut]
+        xy = _pow([1.0 - xs[k] if lo else xs[k] for k, lo in zip(mut, low)], eta_m + 1.0)
+        val = [
+            2.0 * us[k] + (1.0 - 2.0 * us[k]) * t if lo else 2.0 * (1.0 - us[k]) + 2.0 * (us[k] - 0.5) * t
+            for k, lo, t in zip(mut, low, xy)
+        ]
+        for k, lo, v in zip(mut, low, _pow(val, 1.0 / (eta_m + 1.0))):
+            xs[k] = _clip_unit(xs[k] + (v - 1.0 if lo else 1.0 - v))
+    return np.array(xs)
 
 
 # --- ranking helpers -------------------------------------------------------
@@ -246,14 +243,15 @@ def crowding_distance(front_objectives) -> np.ndarray:
     return dist
 
 
-def _rank_and_crowding(objectives) -> tuple[np.ndarray, np.ndarray]:
-    fronts = fast_nondominated_sort(objectives)
-    f = np.asarray(objectives, dtype=float)
-    rank = np.empty(len(f), dtype=int)
-    crowd = np.empty(len(f))
-    for r, front in enumerate(fronts):
-        rank[front] = r
-        crowd[front] = crowding_distance(f[front])
+def _rank_and_crowding(f: np.ndarray, rows) -> tuple[dict, dict]:
+    """Front index and crowding distance of each row of f, keyed by row."""
+    objs = f[rows]
+    rank: dict[int, int] = {}
+    crowd: dict[int, float] = {}
+    for r, front in enumerate(fast_nondominated_sort(objs)):
+        members = [rows[i] for i in front]
+        rank.update(dict.fromkeys(members, r))
+        crowd.update(zip(members, crowding_distance(objs[front]).tolist()))
     return rank, crowd
 
 
@@ -321,13 +319,56 @@ def _insert_into_fronts(fronts: list[list[tuple]], c: tuple) -> tuple[int, int]:
     return first, k + 1
 
 
-def _tournament(rank: np.ndarray, crowd: np.ndarray, rng) -> int:
-    i, j = rng.integers(0, len(rank), size=2)
-    if rank[i] != rank[j]:
-        return i if rank[i] < rank[j] else j
-    if crowd[i] != crowd[j]:
-        return i if crowd[i] > crowd[j] else j
-    return i
+class _FrontCrowding:
+    """Row -> crowding distance in SMS-EMOA's kept fronts, computed on demand.
+
+    Equals crowding_distance over the row's front. Each front lists (f1, f2,
+    row) keys in ascending order, and in a 2-D front equal f1 or equal f2
+    means an exact duplicate. So sorting by f1 keeps the front's order, and
+    sorting by f2 reverses its runs of duplicates but keeps the order inside
+    each run: a member's neighbours by f2 lie in its run or next to it.
+    """
+
+    def __init__(self, fronts: list[list[tuple]], rank: dict, f: np.ndarray):
+        self.fronts, self.rank, self.f = fronts, rank, f
+
+    def __getitem__(self, row: int) -> float:
+        front = self.fronts[self.rank[row]]
+        n = len(front)
+        k = bisect_left(front, (*self.f[row].tolist(), row))
+        if n <= 2 or k == 0 or k == n - 1:
+            return math.inf
+        f1, f2 = front[k][0], front[k][1]
+        s, e = k - 1, k + 1  # nearest distinct members before and after k's run
+        while s >= 0 and front[s][0] == f1:
+            s -= 1
+        while e < n and front[e][0] == f1:
+            e += 1
+        ends_run, starts_run = e == k + 1, s == k - 1
+        if ends_run and s < 0 or starts_run and e == n:
+            return math.inf  # the last of the first run or the first of the last
+        up = front[s][1] if ends_run else f2
+        down = front[e][1] if starts_run else f2
+        dist = 0.0
+        span = front[-1][0] - front[0][0]
+        if span > 0.0:
+            dist += (front[k + 1][0] - front[k - 1][0]) / span
+        span = front[0][1] - front[-1][1]
+        if span > 0.0:
+            dist += (up - down) / span
+        return dist
+
+
+def _tournament(pop, rank, crowd, rng) -> int:
+    """Binary tournament over the rows in pop; returns the winning row."""
+    i, j = rng.integers(0, len(pop), size=2).tolist()
+    a, b = pop[i], pop[j]
+    if rank[a] != rank[b]:
+        return a if rank[a] < rank[b] else b
+    ca, cb = crowd[a], crowd[b]
+    if ca != cb:
+        return a if ca > cb else b
+    return a
 
 
 def hv_contributions_2d(front_objectives, ref) -> np.ndarray:
@@ -375,14 +416,14 @@ def run_random_search(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
 
 
 def _variation_pair(x, pop, rank, crowd, rng):
-    i = _tournament(rank, crowd, rng)
-    j = _tournament(rank, crowd, rng)
-    c1, c2 = sbx_crossover(x[pop[i]], x[pop[j]], SBX_ETA, SBX_PROB, rng)
-    d = len(c1)
-    return (
-        polynomial_mutation(c1, MUTATION_ETA, 1.0 / d, rng),
-        polynomial_mutation(c2, MUTATION_ETA, 1.0 / d, rng),
-    )
+    """Two binary tournaments over pop's rows, then SBX; the children are not yet mutated."""
+    a = _tournament(pop, rank, crowd, rng)
+    b = _tournament(pop, rank, crowd, rng)
+    return sbx_crossover(x[a], x[b], SBX_ETA, SBX_PROB, rng)
+
+
+def _mutate(c, rng) -> np.ndarray:
+    return polynomial_mutation(c, MUTATION_ETA, 1.0 / len(c), rng)
 
 
 def run_nsga2(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
@@ -397,13 +438,12 @@ def run_nsga2(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
     n = cfg.population
     pop = state.evaluate(rng.random((n, inst.problem.dim)))
     while state.remaining > 0:
-        rank, crowd = _rank_and_crowding(state.f_seen[pop])
+        rows = pop.tolist()
+        rank, crowd = _rank_and_crowding(state.f_seen, rows)
         children: list[np.ndarray] = []
         while len(children) < n:
-            c1, c2 = _variation_pair(state.x, pop, rank, crowd, rng)
-            children.append(c1)
-            if len(children) < n:
-                children.append(c2)
+            c1, c2 = _variation_pair(state.x, rows, rank, crowd, rng)
+            children += (_mutate(c1, rng), _mutate(c2, rng))
         full_generation = state.remaining >= n
         offspring = state.evaluate(np.array(children[: min(n, state.remaining)]))
         if not full_generation:
@@ -420,42 +460,41 @@ def run_smsemoa(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
     that front's nadir shifted by (1, 1). The fronts are kept from one
     iteration to the next: the child is inserted with _insert_into_fronts,
     and the removed member sits in the worst front and dominates nobody, so
-    ranks and crowding distances change only on the fronts that changed.
+    ranks change only on the fronts that changed. Crowding distances are
+    read from the fronts when a tournament needs one.
     """
     rng = np.random.default_rng(cfg.seed)
     state = _RunState(inst, cfg.budget)
-    f_seen = state.f_seen
-    n = cfg.population
-    pop = state.evaluate(rng.random((n, inst.problem.dim)))  # rows, kept ascending
-    rank, crowd = _rank_and_crowding(f_seen[pop])
-    keys = [(a, b, row) for row, (a, b) in zip(pop.tolist(), f_seen[pop].tolist())]
+    x, f_seen = state.x, state.f_seen
+    n, d = cfg.population, inst.problem.dim
+    pop = state.evaluate(rng.random((n, d))).tolist()  # rows, kept ascending
+    keys = [(a, b, row) for row, (a, b) in zip(pop, f_seen[pop].tolist())]
     fronts = [[keys[i] for i in front] for front in fast_nondominated_sort(f_seen[pop])]
+    rank = {key[2]: r for r, front in enumerate(fronts) for key in front}
+    crowd = _FrontCrowding(fronts, rank, f_seen)
     while state.remaining > 0:
-        child_x, _ = _variation_pair(state.x, pop, rank, crowd, rng)
-        (child,) = state.evaluate(child_x[np.newaxis])
-        first, stop = _insert_into_fronts(fronts, (*f_seen[child].tolist(), int(child)))
+        c1, _ = _variation_pair(x, pop, rank, crowd, rng)
+        child_x = _mutate(c1, rng)
+        # the second child is discarded, but its mutation's gate and delta
+        # draws stay in the stream, so every later draw is as it was
+        rng.random(d)
+        rng.random(d)
+        (child,) = state.evaluate(child_x[np.newaxis]).tolist()
+        first, stop = _insert_into_fronts(fronts, (*f_seen[child].tolist(), child))
         worst = fronts[-1]
         drop = 0
         if len(worst) > 1:
             front = f_seen[[row for _, _, row in worst]]
             drop = int(np.argmin(hv_contributions_2d(front, front.max(axis=0) + 1.0)))
         removed = worst.pop(drop)[2]
-        changed = set(range(first, min(stop, len(fronts))))
-        if worst:
-            changed.add(len(fronts) - 1)
-        else:
+        if not worst:
             fronts.pop()
-            changed.discard(len(fronts))
-        pop = np.append(pop, child)
-        rank = np.append(rank, 0)
-        crowd = np.append(crowd, 0.0)
-        for r in changed:
-            rows = [row for _, _, row in fronts[r]]
-            at = np.searchsorted(pop, rows)
-            rank[at] = r
-            crowd[at] = crowding_distance(f_seen[rows])
-        keep = pop != removed
-        pop, rank, crowd = pop[keep], rank[keep], crowd[keep]
+        for r in range(first, min(stop, len(fronts))):
+            rank.update(dict.fromkeys([row for _, _, row in fronts[r]], r))
+        # a child alone in a new last front is removed at once, unranked
+        rank.pop(removed, None)
+        pop.append(child)
+        del pop[bisect_left(pop, removed)]
     return state.result(cfg, pop)
 
 
@@ -474,6 +513,8 @@ def run_moead(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
     t_size = min(MOEAD_NEIGHBORS, n)
     dist = np.linalg.norm(weights[:, np.newaxis, :] - weights[np.newaxis, :, :], axis=2)
     neighborhoods = np.argsort(dist, axis=1, kind="stable")[:, :t_size]
+    nb_weights = weights[neighborhoods]
+    everyone = np.arange(n)
     pop = state.evaluate(rng.random((n, inst.problem.dim)))
     x, f_seen = state.x, state.f_seen
     z = f_seen[pop].min(axis=0)
@@ -484,17 +525,16 @@ def run_moead(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
             if rng.random() < MOEAD_MATE_NEIGHBORHOOD_PROB:
                 pool = neighborhoods[i]
             else:
-                pool = np.arange(n)
-            p1, p2 = rng.choice(pool, size=2, replace=False)
+                pool = everyone
+            p1, p2 = rng.choice(pool, size=2, replace=False).tolist()
             c1, _ = sbx_crossover(x[pop[p1]], x[pop[p2]], SBX_ETA, SBX_PROB, rng)
-            child_x = polynomial_mutation(c1, MUTATION_ETA, 1.0 / len(c1), rng)
-            (child,) = state.evaluate(child_x[np.newaxis])
+            (child,) = state.evaluate(_mutate(c1, rng)[np.newaxis])
             f_child = f_seen[child]
-            z = np.minimum(z, f_child)
+            np.minimum(z, f_child, out=z)
             # each neighbour is tested once against its own incumbent, so
             # testing them together equals replacing one at a time
-            nb = neighborhoods[i]
-            better = tchebycheff(f_child, weights[nb], z) < tchebycheff(f_seen[pop[nb]], weights[nb], z)
+            nb, lam = neighborhoods[i], nb_weights[i]
+            better = tchebycheff(f_child, lam, z) < tchebycheff(f_seen[pop[nb]], lam, z)
             pop[nb[better]] = child
     return state.result(cfg, pop)
 

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobench.algorithms import (
+    MOEAD_MATE_NEIGHBORHOOD_PROB,
+    MOEAD_NEIGHBORS,
+    MUTATION_ETA,
+    SBX_ETA,
+    SBX_PROB,
     AlgoConfig,
+    _FrontCrowding,
     _insert_into_fronts,
     _rank_and_crowding,
     _RunState,
@@ -98,6 +104,20 @@ class TestOperators:
             got = polynomial_mutation(x, 20.0, 0.9, rng)
             assert np.all((got >= 0.0) & (got <= 1.0))
 
+    @pytest.mark.parametrize("d", [2, 10])
+    @pytest.mark.parametrize("p_m", ["zero", "one_over_d", "one"])
+    def test_mutation_draws_two_vectors(self, d, p_m):
+        # SMS-EMOA skips the discarded child's mutation and draws random(d)
+        # twice in its place, which holds only if mutation draws just that
+        p_m = {"zero": 0.0, "one_over_d": 1.0 / d, "one": 1.0}[p_m]
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(50):
+            polynomial_mutation(rng.random(d), 20.0, p_m, rng)
+            twin.random(d)
+            twin.random(d)
+            twin.random(d)
+            assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_mutation_frequency(self):
         rng = np.random.default_rng(4)
         p_m = 0.3
@@ -177,6 +197,20 @@ class TestRanking:
             assert fronts == expected
             assert 0 <= first < stop
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=60))
+    def test_front_crowding_matches_crowding_distance(self, points):
+        # a coarse grid forces runs of exact duplicates inside fronts
+        f = np.array(points, dtype=float) / 5
+        keys = [(a, b, row) for row, (a, b) in enumerate(f.tolist())]
+        fronts = [[keys[i] for i in front] for front in fast_nondominated_sort(f)]
+        rank = {row: r for r, front in enumerate(fronts) for _, _, row in front}
+        crowd = _FrontCrowding(fronts, rank, f)
+        for front in fronts:
+            rows = [row for _, _, row in front]
+            expected = crowding_distance(f[rows]).tolist()
+            assert [crowd[row] for row in rows] == expected
+
     def test_crowding_two_points(self):
         d = crowding_distance([(0.0, 1.0), (1.0, 0.0)])
         assert np.all(np.isinf(d))
@@ -225,14 +259,21 @@ class TestRanking:
 
 
 def _reference_smsemoa(inst, cfg):
-    """SMS-EMOA with a full non-dominated sort and crowding pass per step."""
+    """SMS-EMOA with a full non-dominated sort and crowding pass per step.
+
+    Also counts the children removed the moment they are inserted, alone in
+    a new last front.
+    """
     rng = np.random.default_rng(cfg.seed)
     state = _RunState(inst, cfg.budget)
     n = cfg.population
     pop = state.evaluate(rng.random((n, inst.problem.dim)))
-    rank, crowd = _rank_and_crowding(state.f_seen[pop])
+    rank, crowd = _rank_and_crowding(state.f_seen, pop.tolist())
+    removed_alone = 0
     while state.remaining > 0:
-        child_x, _ = _variation_pair(state.x, pop, rank, crowd, rng)
+        c1, c2 = _variation_pair(state.x, pop.tolist(), rank, crowd, rng)
+        child_x = polynomial_mutation(c1, MUTATION_ETA, 1.0 / len(c1), rng)
+        polynomial_mutation(c2, MUTATION_ETA, 1.0 / len(c2), rng)
         pop = np.concatenate([pop, state.evaluate(child_x[np.newaxis])])
         objs = state.f_seen[pop]
         worst = fast_nondominated_sort(objs)[-1]
@@ -240,9 +281,22 @@ def _reference_smsemoa(inst, cfg):
         if len(worst) > 1:
             front = objs[worst]
             removed = worst[int(np.argmin(hv_contributions_2d(front, front.max(axis=0) + 1.0)))]
+        else:
+            removed_alone += removed == n
         pop = np.delete(pop, removed)
-        rank, crowd = _rank_and_crowding(state.f_seen[pop])
-    return state.result(cfg, pop)
+        rank, crowd = _rank_and_crowding(state.f_seen, pop.tolist())
+    return state.result(cfg, pop), removed_alone
+
+
+def _check_smsemoa(problem, search, population, seed):
+    inst = ProblemInstance(ProblemId(*problem), search, TransformSpec.identity())
+    cfg = AlgoConfig("smsemoa", population, 800, seed=seed)
+    got, (want, removed_alone) = run_smsemoa(inst, cfg), _reference_smsemoa(inst, cfg)
+    np.testing.assert_array_equal(got.x, want.x)
+    np.testing.assert_array_equal(got.final_population, want.final_population)
+    # the path where a dominated child, alone in a new last front, leaves at
+    # once without a rank is taken
+    assert removed_alone > 0
 
 
 @pytest.mark.parametrize(
@@ -255,9 +309,64 @@ def _reference_smsemoa(inst, cfg):
 )
 @pytest.mark.parametrize("population", [10, 40])
 def test_smsemoa_matches_reference(problem, search, population):
+    _check_smsemoa(problem, search, population, seed=population)
+
+
+@pytest.mark.parametrize(
+    "problem,search,seed",
+    [
+        (("dtlz", 1, 2), TransformSpec.sphered_rotation(dim=2, seed=2), 3),
+        (("mmf", 4, 2), TransformSpec.identity(), 1),
+    ],
+)
+def test_smsemoa_matches_reference_p100(problem, search, seed):
+    _check_smsemoa(problem, search, 100, seed)
+
+
+def _reference_moead(inst, cfg):
+    """MOEA/D with a fresh index pool, neighbourhood weights and ideal point per step."""
+    rng = np.random.default_rng(cfg.seed)
+    state = _RunState(inst, cfg.budget)
+    n = cfg.population
+    weights = moead_weights(n)
+    dist = np.linalg.norm(weights[:, np.newaxis, :] - weights[np.newaxis, :, :], axis=2)
+    neighborhoods = np.argsort(dist, axis=1, kind="stable")[:, : min(MOEAD_NEIGHBORS, n)]
+    pop = state.evaluate(rng.random((n, inst.problem.dim)))
+    x, f_seen = state.x, state.f_seen
+    z = f_seen[pop].min(axis=0)
+    while state.remaining > 0:
+        for i in range(n):
+            if state.remaining == 0:
+                break
+            if rng.random() < MOEAD_MATE_NEIGHBORHOOD_PROB:
+                pool = neighborhoods[i]
+            else:
+                pool = np.arange(n)
+            p1, p2 = rng.choice(pool, size=2, replace=False)
+            c1, _ = sbx_crossover(x[pop[p1]], x[pop[p2]], SBX_ETA, SBX_PROB, rng)
+            child_x = polynomial_mutation(c1, MUTATION_ETA, 1.0 / len(c1), rng)
+            (child,) = state.evaluate(child_x[np.newaxis])
+            f_child = f_seen[child]
+            z = np.minimum(z, f_child)
+            nb = neighborhoods[i]
+            better = tchebycheff(f_child, weights[nb], z) < tchebycheff(f_seen[pop[nb]], weights[nb], z)
+            pop[nb[better]] = child
+    return state.result(cfg, pop)
+
+
+@pytest.mark.parametrize(
+    "problem,search",
+    [
+        (("zdt", 3, 2), TransformSpec.beta_cdf(0.2, 5.0)),
+        (("dtlz", 1, 2), TransformSpec.sphered_rotation(dim=2, seed=2)),
+        (("zdt", 1, 10), TransformSpec.identity()),
+    ],
+)
+@pytest.mark.parametrize("population", [10, 40])
+def test_moead_matches_reference(problem, search, population):
     inst = ProblemInstance(ProblemId(*problem), search, TransformSpec.identity())
-    cfg = AlgoConfig("smsemoa", population, 800, seed=population)
-    got, want = run_smsemoa(inst, cfg), _reference_smsemoa(inst, cfg)
+    cfg = AlgoConfig("moead", population, 800, seed=population)
+    got, want = run_moead(inst, cfg), _reference_moead(inst, cfg)
     np.testing.assert_array_equal(got.x, want.x)
     np.testing.assert_array_equal(got.final_population, want.final_population)
 
