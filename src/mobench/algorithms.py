@@ -2,10 +2,10 @@
 
 All runs are driven through _RunState.evaluate, so every evaluation is
 recorded with both the algorithm-visible and the original objectives.
-Selection uses the algorithm-visible values (f_seen); the archive collects
-original-space values. Each run owns a single seeded generator; operator
-draw order is documented on the operators, so a run is a pure function of
-(instance, AlgoConfig).
+Selection uses the algorithm-visible values (f_seen). Runs keep no archive:
+the harness derives it from the original-space column (f_orig). Each run
+owns a single seeded generator; operator draw order is documented on the
+operators, so a run is a pure function of (instance, AlgoConfig).
 
 Variation defaults follow the usual framework settings: SBX with eta=15 and
 crossover probability 0.9, polynomial mutation with eta=20 and per-variable
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .indicators import ParetoArchive
+from .indicators import nondominated_rows
 from .instance import ProblemInstance, evaluate_instance_batch
 
 __all__ = [
@@ -86,11 +86,10 @@ class RunResult:
     f_seen: np.ndarray
     f_orig: np.ndarray
     final_population: np.ndarray
-    archive: ParetoArchive
 
 
 class _RunState:
-    """Budget accounting, the column record, and archiving shared by all runners."""
+    """Budget accounting and the column record shared by all runners."""
 
     def __init__(self, inst: ProblemInstance, budget: int):
         self.inst = inst
@@ -98,7 +97,6 @@ class _RunState:
         self.f_seen = np.empty((budget, 2))
         self.f_orig = np.empty((budget, 2))
         self.used = 0
-        self.archive = ParetoArchive()
 
     @property
     def remaining(self) -> int:
@@ -112,8 +110,6 @@ class _RunState:
         self.f_seen[start:stop] = f_seen
         self.f_orig[start:stop] = f_orig
         self.used = stop
-        for eval_index, f in enumerate(f_orig.tolist(), start + 1):
-            self.archive.insert(f, eval_index)
         return np.arange(start, stop)
 
     def result(self, cfg: AlgoConfig, final_population) -> RunResult:
@@ -125,7 +121,6 @@ class _RunState:
             self.f_seen[used],
             self.f_orig[used],
             np.asarray(final_population, dtype=int),
-            self.archive,
         )
 
 
@@ -407,12 +402,13 @@ def moead_weights(population: int) -> np.ndarray:
 def run_random_search(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
     """Uniform i.i.d. sampling of the whole budget.
 
-    The final population is the non-dominated subset of all evaluations.
+    The final population is the non-dominated subset of all evaluations,
+    the first row of any exact duplicates.
     """
     rng = np.random.default_rng(cfg.seed)
     state = _RunState(inst, cfg.budget)
     state.evaluate(rng.random((cfg.budget, inst.problem.dim)))
-    return state.result(cfg, sorted(idx - 1 for _, _, idx in state.archive.entries()))
+    return state.result(cfg, np.sort(nondominated_rows(state.f_orig)))
 
 
 def _variation_pair(x, pop, rank, crowd, rng):

@@ -2,7 +2,7 @@
 
 The pipeline is two-pass: the run pass executes (instance, algorithm, seed)
 jobs, persists one raw evaluation log per run, and keeps a light summary
-(archive insertion history plus final population). The report pass pools
+(the archive's accepted history plus final population). The report pass pools
 per-problem objective extrema into normalization boxes, computes hypervolume
 columns, and emits plot-ready CSV tables.
 """
@@ -24,7 +24,7 @@ from .algorithms import ALGORITHM_NAMES, AlgoConfig, RunResult, run_algorithm
 from .errors import ConfigError, DegenerateBaseError, ReportError
 from .indicators import (
     NormalizationBox,
-    ParetoArchive,
+    accepted_history,
     compute_normalization,
     normalized_hv,
     relative_hv,
@@ -147,7 +147,7 @@ class RunSummary:
     budget: int
     seed: int
     accepted: list[tuple[int, float, float]] = field(default_factory=list)
-    final_pop_f: list[tuple[float, float]] = field(default_factory=list)
+    final_pop_f: list[list[float]] = field(default_factory=list)
     error: str | None = None
 
 
@@ -271,14 +271,8 @@ def expand_matrix(cfg: ExperimentConfig) -> list[Job]:
     return jobs
 
 
-def _run_id(summary_or_job) -> str:
-    if isinstance(summary_or_job, Job):
-        return (
-            f"{summary_or_job.instance.descriptor}__{summary_or_job.algo.name}"
-            f"__p{summary_or_job.algo.population}__s{summary_or_job.algo.seed}"
-        )
-    s = summary_or_job
-    return f"{s.instance}__{s.algorithm}__p{s.population}__s{s.seed}"
+def _run_id(job: Job) -> str:
+    return f"{job.instance.descriptor}__{job.algo.name}__p{job.algo.population}__s{job.algo.seed}"
 
 
 def _write_raw_log(result: RunResult, path: Path) -> None:
@@ -310,8 +304,8 @@ def _execute_job(job: Job, output_dir: str | None) -> RunSummary:
         result = run_algorithm(job.instance, job.algo)
         summary = RunSummary(
             **header,
-            accepted=list(result.archive.history),
-            final_pop_f=[tuple(f) for f in result.f_orig[result.final_population].tolist()],
+            accepted=accepted_history(result.f_orig),
+            final_pop_f=result.f_orig[result.final_population].tolist(),
         )
         if runs_dir is not None:
             _write_raw_log(result, runs_dir / f"{_run_id(job)}.log")
@@ -341,35 +335,20 @@ def execute(jobs: Sequence[Job], parallelism: int = 1, output_dir: str | None = 
 def load_runs(output_dir: str | Path) -> list[RunSummary]:
     """Rebuild run summaries from persisted logs (stable run-id order).
 
-    The archive insertion history is recomputed from the raw evaluation log;
-    final populations and configuration come from the sidecar metadata.
+    The accepted history is recomputed from the raw evaluation log's f_orig
+    fields; final populations and configuration come from the sidecar.
     """
     runs_dir = Path(output_dir) / "runs"
     if not runs_dir.is_dir():
         raise ReportError(f"no runs directory under {output_dir}")
     summaries = []
     for meta_path in sorted(runs_dir.glob("*.json")):
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        summary = RunSummary(
-            problem=meta["problem"],
-            instance=meta["instance"],
-            search_t=meta["search_t"],
-            objective_t=meta["objective_t"],
-            algorithm=meta["algorithm"],
-            population=meta["population"],
-            budget=meta["budget"],
-            seed=meta["seed"],
-            final_pop_f=[tuple(f) for f in meta["final_pop_f"]],
-            error=meta.get("error"),
-        )
+        summary = RunSummary(**json.loads(meta_path.read_text(encoding="utf-8")))
         log_path = meta_path.with_suffix(".log")
         if summary.error is None and log_path.exists():
-            archive = ParetoArchive()
             with log_path.open(encoding="utf-8") as fh:
-                for line in fh:
-                    parts = line.rstrip("\n").split(",")
-                    archive.insert((float(parts[-2]), float(parts[-1])), int(parts[0]))
-            summary.accepted = list(archive.history)
+                f_orig = [float(v) for line in fh for v in line.rsplit(",", 2)[1:]]
+            summary.accepted = accepted_history(f_orig)
         summaries.append(summary)
     return summaries
 
@@ -397,28 +376,22 @@ def compute_boxes(summaries: Iterable[RunSummary]) -> dict[str, NormalizationBox
 def compute_run_rows(
     summaries: Iterable[RunSummary], boxes: dict[str, NormalizationBox]
 ) -> list[RunRow]:
-    """Second pass: normalized HV columns and checkpointed archive HV."""
+    """Second pass: normalized HV columns and checkpointed archive HV.
+
+    The archive after evaluation c is the non-dominated subset of the points
+    accepted up to c, and the hypervolume drops dominated points, so each
+    checkpoint's value is that of an accepted-history prefix.
+    """
     rows = []
     for s in summaries:
         if s.error is not None:
             continue
         box = boxes[s.problem]
         grid = checkpoint_grid(s.population, s.budget)
-        archive = ParetoArchive()
-        pending = iter(sorted(s.accepted))
-        nxt = next(pending, None)
-        hvs = []
-        last_hv = 0.0
-        dirty = True
-        for cut in grid:
-            while nxt is not None and nxt[0] <= cut:
-                archive.insert((nxt[1], nxt[2]), nxt[0])
-                nxt = next(pending, None)
-                dirty = True
-            if dirty:
-                last_hv = normalized_hv(archive.points(), box)
-                dirty = False
-            hvs.append(last_hv)
+        accepted = np.array(s.accepted, dtype=float).reshape(-1, 3)
+        prefix = np.searchsorted(accepted[:, 0], grid, side="right").tolist()
+        hv_of = {n: normalized_hv(accepted[:n, 1:], box) for n in set(prefix)}
+        hvs = [hv_of[n] for n in prefix]
         rows.append(
             RunRow(
                 instance=s.instance,

@@ -2,8 +2,10 @@
 
 The archive keeps every non-dominated original-space objective vector seen
 during a run (no capacity bound) together with the evaluation index of its
-first attainment. Hypervolume is the exact 2-D sweep; normalization maps
-pooled objective extrema onto the unit box with reference point (1, 1).
+first attainment; `accepted_history` feeds it a run's f_orig column and is
+the one source of the points it accepts. Hypervolume is the exact 2-D
+sweep; normalization maps pooled objective extrema onto the unit box with
+reference point (1, 1).
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .transforms import TransformSpec, apply_forward
 
 __all__ = [
     "ParetoArchive",
+    "accepted_history",
+    "nondominated_rows",
     "NormalizationBox",
     "hypervolume_2d",
     "compute_normalization",
@@ -40,16 +44,13 @@ class ParetoArchive:
     """Unbounded set of mutually non-dominated objective pairs.
 
     Entries are kept sorted by the first objective (second objective then
-    strictly decreasing), which makes insertion O(log n + removed). The
-    acceptance history records every inserted (eval_index, f1, f2) so the
-    archive state at any evaluation index can be replayed later.
+    strictly decreasing), which makes insertion O(log n + removed).
     """
 
     def __init__(self):
         self._f1: list[float] = []
         self._f2: list[float] = []
         self._idx: list[int] = []
-        self.history: list[tuple[int, float, float]] = []
 
     def __len__(self) -> int:
         return len(self._f1)
@@ -75,7 +76,6 @@ class ParetoArchive:
         self._f1.insert(pos, f1)
         self._f2.insert(pos, f2)
         self._idx.insert(pos, eval_index)
-        self.history.append((eval_index, f1, f2))
         return True
 
     def points(self) -> list[tuple[float, float]]:
@@ -84,6 +84,33 @@ class ParetoArchive:
     def entries(self) -> list[tuple[float, float, int]]:
         """(f1, f2, eval_index of first attainment) per archive member."""
         return list(zip(self._f1, self._f2, self._idx))
+
+
+def accepted_history(f_orig) -> list[tuple[int, float, float]]:
+    """(eval_index, f1, f2) of every evaluation the run's archive accepts.
+
+    Row i of the (n, 2) column is evaluation i + 1, fed to the archive in row
+    order. The archive after evaluation c is the non-dominated subset of the
+    points accepted up to c.
+    """
+    archive = ParetoArchive()
+    rows = np.asarray(f_orig, dtype=float).reshape(-1, 2).tolist()
+    return [(i, f1, f2) for i, (f1, f2) in enumerate(rows, 1) if archive.insert((f1, f2), i)]
+
+
+def nondominated_rows(points) -> np.ndarray:
+    """Row indices of the non-dominated points, in ascending (f1, f2) order.
+
+    A stable lexicographic sort, then a strict running minimum of f2; of
+    exact duplicates only the first row is kept.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    f2 = pts[order, 1]
+    keep = np.empty(len(f2), dtype=bool)
+    keep[:1] = True
+    keep[1:] = f2[1:] < np.minimum.accumulate(f2)[:-1]
+    return order[keep]
 
 
 @dataclass(frozen=True)
@@ -107,17 +134,11 @@ def hypervolume_2d(points, ref) -> float:
     """
     r1, r2 = float(ref[0]), float(ref[1])
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if len(pts):
-        pts = pts[(pts[:, 0] < r1) & (pts[:, 1] < r2)]
+    pts = pts[(pts[:, 0] < r1) & (pts[:, 1] < r2)]
     if not len(pts):
         return 0.0
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    f1 = pts[order, 0]
-    f2 = pts[order, 1]
-    keep = np.empty(len(f2), dtype=bool)
-    keep[0] = True
-    keep[1:] = f2[1:] < np.minimum.accumulate(f2)[:-1]
-    s1, s2 = f1[keep], f2[keep]
+    front = pts[nondominated_rows(pts)]
+    s1, s2 = front[:, 0], front[:, 1]
     widths = np.append(s1[1:], r1) - s1
     return float(np.sum(widths * (r2 - s2)))
 

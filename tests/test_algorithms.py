@@ -31,7 +31,14 @@ from mobench.algorithms import (
     tchebycheff,
 )
 from mobench.errors import ParameterError
-from mobench.indicators import ParetoArchive, compute_normalization, hypervolume_2d, normalized_hv
+from mobench.indicators import (
+    ParetoArchive,
+    accepted_history,
+    compute_normalization,
+    hypervolume_2d,
+    nondominated_rows,
+    normalized_hv,
+)
 from mobench.instance import ProblemInstance, evaluate_instance_batch
 from mobench.problems import ProblemId
 from mobench.transforms import TransformSpec
@@ -402,6 +409,13 @@ RUNNERS = {
 }
 
 
+def _archive_of(f_orig):
+    archive = ParetoArchive()
+    for eval_index, f in enumerate(f_orig.tolist(), 1):
+        archive.insert(f, eval_index)
+    return archive
+
+
 @pytest.mark.parametrize("name", sorted(RUNNERS))
 class TestRunContracts:
     def test_deterministic(self, name):
@@ -424,7 +438,7 @@ class TestRunContracts:
         assert res.f_seen.shape == res.f_orig.shape == (157, 2)
         np.testing.assert_array_equal(evaluate_instance_batch(inst, res.x)[1], res.f_orig)
         np.testing.assert_array_equal(res.f_seen, res.f_orig)  # no objective warp
-        assert {i for i, _, _ in res.archive.history} <= set(range(1, 158))
+        assert {i for i, _, _ in accepted_history(res.f_orig)} <= set(range(1, 158))
         assert np.all((res.x >= 0.0) & (res.x <= 1.0))
 
     def test_one_formula_call_per_batch(self, name):
@@ -446,8 +460,9 @@ class TestRunContracts:
         cfg = AlgoConfig(name, population=10, budget=105, seed=5)
         res = RUNNERS[name](inst, cfg)
         if name == "random_search":
-            archive_idx = {i for _, _, i in res.archive.entries()}
-            assert set((res.final_population + 1).tolist()) == archive_idx
+            # every first attainment of a member of the full log's archive
+            archive_idx = sorted(i for _, _, i in _archive_of(res.f_orig).entries())
+            assert (res.final_population + 1).tolist() == archive_idx
         else:
             assert len(res.final_population) == 10
 
@@ -464,7 +479,9 @@ class TestRunContracts:
             for q in [q for q in expected if f[0] <= q[0] and f[1] <= q[1] and q != f]:
                 del expected[q]
             expected[f] = eval_index
-        assert {(f1, f2): i for f1, f2, i in res.archive.entries()} == expected
+        assert {(f1, f2): i for f1, f2, i in _archive_of(res.f_orig).entries()} == expected
+        front = nondominated_rows(res.f_orig).tolist()
+        assert {tuple(res.f_orig[r].tolist()): r + 1 for r in front} == expected
 
 
 class TestRandomSearchInvariances:
@@ -492,15 +509,11 @@ class TestArchiveOverTime:
         cfg = AlgoConfig("smsemoa", population=10, budget=200, seed=13)
         res = run_smsemoa(inst, cfg)
         ref = (2.0, 2.0)
-        replay = ParetoArchive()
+        accepted = np.array(accepted_history(res.f_orig))
         hv_prev = 0.0
-        accepted = iter(res.archive.history)
-        pending = next(accepted, None)
         for idx in range(1, cfg.budget + 1):
-            while pending is not None and pending[0] <= idx:
-                replay.insert((pending[1], pending[2]), pending[0])
-                pending = next(accepted, None)
-            hv = hypervolume_2d(replay.points(), ref)
+            n = np.searchsorted(accepted[:, 0], idx, side="right")
+            hv = hypervolume_2d(accepted[:n, 1:], ref)
             assert hv >= hv_prev - 1e-15
             hv_prev = hv
 
@@ -521,7 +534,7 @@ class TestSanityOrdering:
             )
         for pair in results:
             for res in pair:
-                fronts.append(res.archive.points())
+                fronts.append(res.f_orig[nondominated_rows(res.f_orig)])
         box = compute_normalization(fronts)
         for nsga_res, rs_res in results:
             nsga_hv.append(normalized_hv(nsga_res.f_orig[nsga_res.final_population], box))

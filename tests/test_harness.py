@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobench.cli import main as cli_main
 from mobench.errors import ConfigError, ReportError
@@ -12,6 +14,7 @@ from mobench.harness import (
     RUNS_CSV_COLUMNS,
     ExperimentConfig,
     Job,
+    RunSummary,
     checkpoint_grid,
     compute_boxes,
     compute_run_rows,
@@ -26,7 +29,8 @@ from mobench.harness import (
     report_relative_hv,
     transform_family,
 )
-from mobench.algorithms import AlgoConfig
+from mobench.algorithms import ALGORITHM_NAMES, AlgoConfig, run_algorithm
+from mobench.indicators import NormalizationBox, ParetoArchive, accepted_history, normalized_hv
 from mobench.instance import ProblemInstance
 from mobench.problems import ProblemId
 from mobench.transforms import TransformSpec
@@ -206,9 +210,10 @@ class TestExecute:
         assert len(reloaded) == len(summaries)
         for s in reloaded:
             orig = by_id[(s.instance, s.algorithm, s.seed)]
-            # archive history recomputed from the raw log must match
+            # the accepted history recomputed from the raw log must match
             assert s.accepted == orig.accepted
-            assert s.final_pop_f == [tuple(f) for f in orig.final_pop_f]
+            assert s.final_pop_f == orig.final_pop_f
+            assert s == orig
 
     def test_raw_log_line_format(self, tmp_path):
         jobs = expand_matrix(
@@ -299,6 +304,61 @@ class TestRowsAndCsv:
         assert grid == sorted(set(grid))
         assert len(grid) <= 50
         assert checkpoint_grid(5000, 5000) == [5000]
+
+
+def replayed_checkpoint_hvs(f_orig, population, box):
+    """Reference: one archive fed every evaluation in order, read at each checkpoint."""
+    archive = ParetoArchive()
+    rows = iter(enumerate(f_orig.tolist(), 1))
+    hvs = []
+    for cut in checkpoint_grid(population, len(f_orig)):
+        for eval_index, f in rows:
+            archive.insert(f, eval_index)
+            if eval_index == cut:
+                break
+        hvs.append(normalized_hv(archive.points(), box))
+    return hvs
+
+
+class TestCheckpointsMatchArchiveReplay:
+    def test_real_runs(self):
+        jobs = expand_matrix(
+            small_config(
+                problems=["zdt3-d2", "dtlz1-d2"],
+                search_transforms=[{"kind": "sphered_rotation", "seed": 3}],
+                objective_transforms=[{"kind": "beta_cdf", "alpha": 2.0, "beta": 0.5}],
+                algorithms=[{"name": n, "population": 10} for n in ALGORITHM_NAMES],
+                budget=300,
+                repetitions=1,
+            )
+        )
+        summaries = execute(jobs)
+        boxes = compute_boxes(summaries)
+        rows = compute_run_rows(summaries, boxes)
+        assert len(rows) == len(jobs) == 16
+        for job, row in zip(jobs, rows):
+            f_orig = run_algorithm(job.instance, job.algo).f_orig
+            expected = replayed_checkpoint_hvs(f_orig, 10, boxes[row.problem])
+            assert row.checkpoint_hvs == expected
+            assert row.final_archive_hv == expected[-1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=80),
+        st.integers(1, 80),
+    )
+    def test_quantized_objectives(self, cells, population):
+        # a coarse lattice forces duplicates and ties; the box floors and drops points
+        f_orig = np.array(cells, dtype=float) / 10.0
+        population = min(population, len(f_orig))
+        box = NormalizationBox(ideal=(0.2, 0.1), nadir=(0.9, 1.0))
+        summary = RunSummary(
+            problem="p", instance="i", search_t={}, objective_t={}, algorithm="a",
+            population=population, budget=len(f_orig), seed=0,
+            accepted=accepted_history(f_orig),
+        )
+        (row,) = compute_run_rows([summary], {"p": box})
+        assert row.checkpoint_hvs == replayed_checkpoint_hvs(f_orig, population, box)
 
 
 class TestReports:

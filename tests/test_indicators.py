@@ -15,9 +15,11 @@ from mobench.errors import (
 from mobench.indicators import (
     NormalizationBox,
     ParetoArchive,
+    accepted_history,
     compute_normalization,
     density_change,
     hypervolume_2d,
+    nondominated_rows,
     normalized_hv,
     relative_hv,
     wasserstein_1d,
@@ -86,18 +88,25 @@ class TestArchive:
 
     def test_history_replay(self):
         rng = np.random.default_rng(5)
-        pts = rng.random((500, 2))
-        a = ParetoArchive()
-        for i, p in enumerate(pts, start=1):
-            a.insert(p, i)
-        # replaying accepted points reconstructs every prefix front
-        for cut in (10, 100, 500):
-            replay = ParetoArchive()
-            for idx, f1, f2 in a.history:
-                if idx <= cut:
-                    replay.insert((f1, f2), idx)
-            expected = brute_force_front(pts[:cut])
-            assert dict(((f1, f2), i) for f1, f2, i in replay.entries()) == expected
+        for pts in (rng.random((500, 2)), np.round(rng.random((500, 2)) * 20) / 20):
+            history = accepted_history(pts)
+            assert [(f1, f2) for i, f1, f2 in history] == [tuple(pts[i - 1]) for i, _, _ in history]
+            # every prefix front is the front of the accepted points up to its cut
+            for cut in (1, 10, 100, 500):
+                prefix = [h for h in history if h[0] <= cut]
+                front = brute_force_front([(f1, f2) for _, f1, f2 in prefix])
+                got = {f: prefix[k - 1][0] for f, k in front.items()}
+                assert got == brute_force_front(pts[:cut])
+
+    def test_nondominated_rows_keep_first_duplicate(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            pts = np.round(rng.random((300, 2)) * 20) / 20
+            rows = nondominated_rows(pts)
+            expected = brute_force_front(pts)
+            assert {tuple(pts[r]): r + 1 for r in rows.tolist()} == expected
+            assert np.all(np.diff(pts[rows, 0]) > 0)
+        assert nondominated_rows(np.empty((0, 2))).tolist() == []
 
 
 class TestHypervolume:
