@@ -88,13 +88,20 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    summaries = load_runs(args.in_dir)
+    if args.kind == "ab-heatmap" and not (args.problem and args.algo):
+        raise ConfigError("ab-heatmap needs --problem and --algo")
+    if args.kind == "over-time" and not (args.problem and args.transform):
+        raise ConfigError("over-time needs --problem and --transform")
+    # boxes are pooled per problem, so a per-problem report needs only its runs
+    problem = None if args.kind == "relative" else args.problem
+    summaries = load_runs(args.in_dir, problem)
+    failed = sum(s.error is not None for s in summaries)
+    scope = f" of {problem}" if problem else ""
+    print(f"read {len(summaries)} runs{scope}, {failed} failed")
     rows = compute_run_rows(summaries, compute_boxes(summaries))
     reports_dir = Path(args.in_dir) / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
     if args.kind == "ab-heatmap":
-        if not args.problem or not args.algo:
-            raise ConfigError("ab-heatmap needs --problem and --algo")
         table = report_ab_heatmap(
             rows, args.problem, args.algo, space=args.space, population=args.population
         )
@@ -113,8 +120,6 @@ def _cmd_report(args) -> int:
             )
         path = reports_dir / "relative_hv.csv"
     else:
-        if not args.problem or not args.transform:
-            raise ConfigError("over-time needs --problem and --transform")
         records = report_hv_over_time(rows, args.problem, args.transform)
         if not records:
             raise ReportError(

@@ -27,6 +27,7 @@ from .indicators import (
     accepted_history,
     compute_normalization,
     normalized_hv,
+    normalized_hv_prefixes,
     relative_hv,
 )
 from .instance import ProblemInstance
@@ -332,11 +333,13 @@ def execute(jobs: Sequence[Job], parallelism: int = 1, output_dir: str | None = 
         return list(pool.map(_execute_job, jobs, [output_dir] * len(jobs), chunksize=1))
 
 
-def load_runs(output_dir: str | Path) -> list[RunSummary]:
+def load_runs(output_dir: str | Path, problem: str | None = None) -> list[RunSummary]:
     """Rebuild run summaries from persisted logs (stable run-id order).
 
     The accepted history is recomputed from the raw evaluation log's f_orig
-    fields; final populations and configuration come from the sidecar.
+    fields; final populations and configuration come from the sidecar. With
+    `problem`, only that problem's runs are returned and only their logs are
+    read. A successful run whose log is missing is returned as failed.
     """
     runs_dir = Path(output_dir) / "runs"
     if not runs_dir.is_dir():
@@ -344,11 +347,16 @@ def load_runs(output_dir: str | Path) -> list[RunSummary]:
     summaries = []
     for meta_path in sorted(runs_dir.glob("*.json")):
         summary = RunSummary(**json.loads(meta_path.read_text(encoding="utf-8")))
-        log_path = meta_path.with_suffix(".log")
-        if summary.error is None and log_path.exists():
-            with log_path.open(encoding="utf-8") as fh:
-                f_orig = [float(v) for line in fh for v in line.rsplit(",", 2)[1:]]
-            summary.accepted = accepted_history(f_orig)
+        if problem is not None and summary.problem != problem:
+            continue
+        if summary.error is None:
+            try:
+                with meta_path.with_suffix(".log").open(encoding="utf-8") as fh:
+                    f_orig = [float(v) for line in fh for v in line.rsplit(",", 2)[1:]]
+            except FileNotFoundError:
+                summary.error = "raw log missing"
+            else:
+                summary.accepted = accepted_history(f_orig)
         summaries.append(summary)
     return summaries
 
@@ -380,7 +388,8 @@ def compute_run_rows(
 
     The archive after evaluation c is the non-dominated subset of the points
     accepted up to c, and the hypervolume drops dominated points, so each
-    checkpoint's value is that of an accepted-history prefix.
+    checkpoint's value is that of an accepted-history prefix; one
+    `normalized_hv_prefixes` pass per run gives them all.
     """
     rows = []
     for s in summaries:
@@ -389,9 +398,8 @@ def compute_run_rows(
         box = boxes[s.problem]
         grid = checkpoint_grid(s.population, s.budget)
         accepted = np.array(s.accepted, dtype=float).reshape(-1, 3)
-        prefix = np.searchsorted(accepted[:, 0], grid, side="right").tolist()
-        hv_of = {n: normalized_hv(accepted[:n, 1:], box) for n in set(prefix)}
-        hvs = [hv_of[n] for n in prefix]
+        prefix = np.searchsorted(accepted[:, 0], grid, side="right")
+        hvs = normalized_hv_prefixes(accepted[:, 1:], box, prefix)
         rows.append(
             RunRow(
                 instance=s.instance,

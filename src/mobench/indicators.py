@@ -5,7 +5,8 @@ during a run (no capacity bound) together with the evaluation index of its
 first attainment; `accepted_history` feeds it a run's f_orig column and is
 the one source of the points it accepts. Hypervolume is the exact 2-D
 sweep; normalization maps pooled objective extrema onto the unit box with
-reference point (1, 1).
+reference point (1, 1), and `normalized_hv_prefixes` scores every prefix a
+run's checkpoints need in one archive pass.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "hypervolume_2d",
     "compute_normalization",
     "normalized_hv",
+    "normalized_hv_prefixes",
     "relative_hv",
     "wasserstein_1d",
     "density_change",
@@ -138,7 +140,16 @@ def hypervolume_2d(points, ref) -> float:
     if not len(pts):
         return 0.0
     front = pts[nondominated_rows(pts)]
-    s1, s2 = front[:, 0], front[:, 1]
+    return _staircase_area(front[:, 0], front[:, 1], r1, r2)
+
+
+def _staircase_area(s1, s2, r1: float, r2: float) -> float:
+    """Area under a front given in ascending f1 order, f2 strictly decreasing.
+
+    The one summation of the staircase: every hypervolume in this module goes
+    through it, so equal fronts give equal bits.
+    """
+    s1, s2 = np.asarray(s1), np.asarray(s2)
     widths = np.append(s1[1:], r1) - s1
     return float(np.sum(widths * (r2 - s2)))
 
@@ -179,17 +190,42 @@ def compute_normalization(fronts: Iterable[Iterable]) -> NormalizationBox:
 def normalized_hv(points, box: NormalizationBox) -> float:
     """Hypervolume after affine normalization into the unit box, ref (1, 1).
 
-    Points with any normalized component above 1 are dropped; components are
-    floored at 0 so the result always lies in [0, 1].
+    Points with any normalized component at or above 1 are dropped;
+    components are floored at 0 so the result always lies in [0, 1].
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if not len(pts):
-        return 0.0
+    return normalized_hv_prefixes(pts, box, [len(pts)])[0]
+
+
+def normalized_hv_prefixes(points, box: NormalizationBox, counts) -> list[float]:
+    """`normalized_hv(points[:n], box)` for each n of the ascending `counts`.
+
+    One pass: every point is normalized once and fed in row order to a
+    `ParetoArchive`, which keeps the front in the ascending f1 order that
+    `hypervolume_2d` sums, and the staircase is summed again only after an
+    insert was accepted. The archive holds the non-dominated subset of a
+    prefix with the first of exact duplicates, as `nondominated_rows` does,
+    so each value is bit-equal to the sort-based one.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
     ideal = np.array(box.ideal)
-    extent = np.array(box.nadir) - ideal
-    scaled = (pts - ideal) / extent
-    scaled = scaled[(scaled <= 1.0).all(axis=1)]
-    return min(1.0, hypervolume_2d(np.maximum(scaled, 0.0), (1.0, 1.0)))
+    scaled = (pts - ideal) / (np.array(box.nadir) - ideal)
+    kept = np.flatnonzero((scaled < 1.0).all(axis=1))
+    rows = np.maximum(scaled[kept], 0.0).tolist()
+    archive = ParetoArchive()
+    hvs: list[float] = []
+    hv, fed = 0.0, 0
+    for end in np.searchsorted(kept, counts).tolist():
+        if end < fed:
+            raise ParameterError(f"prefix lengths must ascend, got {list(counts)!r}")
+        grew = False
+        for f in rows[fed:end]:
+            grew |= archive.insert(f, 0)
+        if grew:
+            hv = min(1.0, _staircase_area(archive._f1, archive._f2, 1.0, 1.0))
+        hvs.append(hv)
+        fed = end
+    return hvs
 
 
 def relative_hv(transformed_hv: float, base_hv: float) -> float:

@@ -215,6 +215,35 @@ class TestExecute:
             assert s.final_pop_f == orig.final_pop_f
             assert s == orig
 
+    def test_missing_log_loads_as_failed(self, tmp_path):
+        jobs = expand_matrix(small_config(repetitions=1))
+        summaries = execute(jobs, output_dir=str(tmp_path))
+        logs = sorted((tmp_path / "runs").glob("*.log"))
+        logs[0].unlink()
+        reloaded = load_runs(tmp_path)
+        assert [s.error for s in reloaded] == ["raw log missing"] + [None] * (len(jobs) - 1)
+        assert reloaded[0].accepted == []
+        # boxes and rows skip the run instead of scoring it 0.0
+        key = lambda s: (s.instance, s.algorithm, s.seed)  # noqa: E731
+        lost = key(reloaded[0])
+        others = [s for s in summaries if key(s) != lost]
+        assert len(others) == len(jobs) - 1
+        rows = compute_run_rows(reloaded, compute_boxes(reloaded))
+        expected = compute_run_rows(others, compute_boxes(others))
+        assert sorted(rows, key=key) == sorted(expected, key=key)
+
+    def test_load_one_problem_reads_only_its_logs(self, tmp_path):
+        jobs = expand_matrix(small_config(problems=["zdt1-d2", "dtlz1-d2"], repetitions=1))
+        summaries = execute(jobs, output_dir=str(tmp_path))
+        for log in (tmp_path / "runs").glob("zdt1-d2__*.log"):
+            log.write_text("not,a,log\n")
+        with pytest.raises(ValueError):
+            load_runs(tmp_path)
+        key = lambda s: (s.instance, s.algorithm, s.seed)  # noqa: E731
+        reloaded = sorted(load_runs(tmp_path, "dtlz1-d2"), key=key)
+        assert reloaded == sorted((s for s in summaries if s.problem == "dtlz1-d2"), key=key)
+        assert load_runs(tmp_path, "zdt2-d2") == []
+
     def test_raw_log_line_format(self, tmp_path):
         jobs = expand_matrix(
             small_config(
@@ -493,6 +522,85 @@ class TestCli:
         )
         assert cli_main(["report", "--in", str(out), "--kind", "relative"]) == 0
         assert (out / "reports" / "relative_hv.csv").exists()
+
+    def test_per_problem_reports_skip_other_problems(self, tmp_path):
+        config = dict(
+            problems=["zdt1-d2", "dtlz1-d2"],
+            search_transforms=[
+                {"kind": "identity"},
+                {"kind": "beta_cdf_grid", "values": [0.5, 2.0]},
+            ],
+            objective_transforms=[],
+            algorithms=[{"name": "random_search", "population": 5}],
+            budget=40,
+            repetitions=2,
+            base_seed=5,
+        )
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        reports = [
+            ["--kind", "ab-heatmap", "--problem", "zdt1-d2", "--algo", "random_search"],
+            ["--kind", "over-time", "--problem", "zdt1-d2", "--transform", "s:id__o:id"],
+        ]
+        names = ["ab_heatmap_zdt1-d2_random_search_search.csv", "hv_over_time_zdt1-d2.csv"]
+
+        def build():
+            for report in reports:
+                assert cli_main(["report", "--in", str(out), *report]) == 0
+            return [(out / "reports" / name).read_bytes() for name in names]
+
+        before = build()
+        next((out / "runs").glob("dtlz1-d2__*.log")).write_text("not,a,log\n")
+        assert build() == before
+        # the relative report reads every log, so the broken one stops it
+        assert cli_main(["report", "--in", str(out), "--kind", "relative"]) == 2
+
+    def test_report_arguments_checked_before_reading(self, tmp_path, capsys):
+        config = dict(
+            problems=["zdt1-d2"],
+            search_transforms=[{"kind": "identity"}],
+            objective_transforms=[],
+            algorithms=[{"name": "random_search", "population": 4}],
+            budget=10,
+            repetitions=1,
+        )
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        next((out / "runs").glob("*.log")).write_text("not,a,log\n")
+        capsys.readouterr()
+        base = ["report", "--in", str(out)]
+        assert cli_main([*base, "--kind", "ab-heatmap", "--problem", "zdt1-d2"]) == 1
+        assert cli_main([*base, "--kind", "ab-heatmap", "--algo", "random_search"]) == 1
+        assert cli_main([*base, "--kind", "over-time", "--problem", "zdt1-d2"]) == 1
+        assert cli_main([*base, "--kind", "over-time", "--transform", "s:id__o:id"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("config error") == 4
+        # with its flags the report does read the log, and fails on it
+        assert cli_main([*base, "--kind", "relative"]) == 2
+
+    def test_report_counts_failures(self, tmp_path, capsys):
+        bad = ProblemInstance(
+            ProblemId("zdt", 1, 2), TransformSpec.identity(), TransformSpec.identity()
+        )
+        object.__setattr__(bad, "search_t", TransformSpec.sphered_rotation(dim=4, seed=0))
+        good = ProblemInstance(
+            ProblemId("zdt", 1, 2), TransformSpec.identity(), TransformSpec.identity()
+        )
+        jobs = [
+            Job(bad, AlgoConfig("random_search", 4, 10, 0)),
+            Job(good, AlgoConfig("random_search", 4, 10, 1)),
+        ]
+        execute(jobs, output_dir=str(tmp_path))
+        capsys.readouterr()
+        assert cli_main(["report", "--in", str(tmp_path), "--kind", "relative"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "read 2 runs, 1 failed"
+        over_time = ["--kind", "over-time", "--problem", "zdt1-d2", "--transform", "s:id__o:id"]
+        assert cli_main(["report", "--in", str(tmp_path), *over_time]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "read 2 runs of zdt1-d2, 1 failed"
 
     def test_output_dir_env_default(self, tmp_path, monkeypatch):
         config = dict(

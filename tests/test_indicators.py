@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobench.errors import (
     DegenerateBaseError,
@@ -21,6 +23,7 @@ from mobench.indicators import (
     hypervolume_2d,
     nondominated_rows,
     normalized_hv,
+    normalized_hv_prefixes,
     relative_hv,
     wasserstein_1d,
 )
@@ -220,6 +223,67 @@ class TestNormalization:
             pts = rng.uniform(-0.5, 1.5, size=(20, 2))
             v = normalized_hv(pts, box)
             assert 0.0 <= v <= 1.0
+
+
+def sort_based_normalized_hv(points, box):
+    """Reference: normalize, lexsort and sweep each prefix from scratch."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not len(pts):
+        return 0.0
+    ideal = np.array(box.ideal)
+    scaled = (pts - ideal) / (np.array(box.nadir) - ideal)
+    scaled = scaled[(scaled <= 1.0).all(axis=1)]
+    return min(1.0, hypervolume_2d(np.maximum(scaled, 0.0), (1.0, 1.0)))
+
+
+# quarter-step lattices and power-of-two extents keep the scaling exact, so
+# points land on scaled 1.0 (dropped) and below the ideal (floored, which
+# makes duplicates); fractional offsets make the sums round, and points near
+# the anti-diagonal make fronts long enough for the grouping of the sum to
+# matter
+fraction = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
+lattice_points = st.lists(
+    st.tuples(st.integers(0, 16), st.integers(-2, 2), fraction, fraction), max_size=60
+).map(lambda cells: np.array(
+    [(i + u, min(max(16 - i + d, 0), 16) + v) for i, d, u, v in cells], dtype=float
+).reshape(-1, 2) / 4.0)
+lattice_boxes = st.tuples(
+    st.integers(0, 8), st.integers(0, 8), st.integers(-1, 2), st.integers(-1, 2)
+).map(lambda t: NormalizationBox(
+    (t[0] / 4, t[1] / 4), (t[0] / 4 + 2.0 ** t[2], t[1] / 4 + 2.0 ** t[3])
+))
+
+
+class TestNormalizedHvPrefixes:
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_points, lattice_boxes, st.lists(st.integers(0, 60), max_size=12))
+    def test_matches_sort_based(self, pts, box, cuts):
+        counts = sorted([min(c, len(pts)) for c in cuts] + [0, len(pts)])
+        expected = [sort_based_normalized_hv(pts[:n], box) for n in counts]
+        assert normalized_hv_prefixes(pts, box, counts) == expected
+        assert normalized_hv(pts, box) == expected[-1]
+
+    def test_points_on_scaled_one_add_no_step(self):
+        # a zero-area step at the reference would change how the staircase
+        # sum is grouped, and with it the last bits
+        rng = np.random.default_rng(5)
+        box = NormalizationBox((0.0, 0.0), (1.0, 1.0))
+        for _ in range(500):
+            n = int(rng.integers(6, 16))
+            front = np.column_stack([np.sort(rng.random(n)), np.sort(rng.random(n))[::-1]])
+            edge = [(1.0, rng.random() * front[-1, 1]), (rng.random() * front[0, 0], 1.0)]
+            pts = np.vstack([front, edge])
+            expected = [sort_based_normalized_hv(pts[:k], box) for k in (n, n + 1, n + 2)]
+            assert normalized_hv_prefixes(pts, box, [n, n + 1, n + 2]) == expected
+
+    def test_edges(self):
+        box = NormalizationBox((0.0, 0.0), (1.0, 1.0))
+        # on scaled 1.0: dropped; below the ideal: floored onto one duplicate
+        pts = [(1.0, 0.5), (-1.0, -2.0), (0.0, 0.0), (-3.0, 0.0)]
+        assert normalized_hv_prefixes(pts, box, [0, 1, 2, 4]) == [0.0, 0.0, 1.0, 1.0]
+        assert normalized_hv_prefixes([], box, [0, 0]) == [0.0, 0.0]
+        with pytest.raises(ParameterError):
+            normalized_hv_prefixes([(0.5, 0.5), (0.2, 0.2)], box, [2, 1])
 
 
 class TestRelativeHv:
