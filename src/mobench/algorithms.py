@@ -80,8 +80,6 @@ class RunResult:
     final_population holds row indices into the columns.
     """
 
-    config: AlgoConfig
-    instance_descriptor: str
     x: np.ndarray
     f_seen: np.ndarray
     f_orig: np.ndarray
@@ -112,11 +110,9 @@ class _RunState:
         self.used = stop
         return np.arange(start, stop)
 
-    def result(self, cfg: AlgoConfig, final_population) -> RunResult:
+    def result(self, final_population) -> RunResult:
         used = slice(self.used)
         return RunResult(
-            cfg,
-            self.inst.descriptor,
             self.x[used],
             self.f_seen[used],
             self.f_orig[used],
@@ -408,7 +404,7 @@ def run_random_search(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
     rng = np.random.default_rng(cfg.seed)
     state = _RunState(inst, cfg.budget)
     state.evaluate(rng.random((cfg.budget, inst.problem.dim)))
-    return state.result(cfg, np.sort(nondominated_rows(state.f_orig)))
+    return state.result(np.sort(nondominated_rows(state.f_orig)))
 
 
 def _variation_pair(x, pop, rank, crowd, rng):
@@ -446,7 +442,7 @@ def run_nsga2(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
             break
         union = np.concatenate([pop, offspring])
         pop = union[nsga2_survival(state.f_seen[union], n)]
-    return state.result(cfg, pop)
+    return state.result(pop)
 
 
 def run_smsemoa(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
@@ -491,7 +487,7 @@ def run_smsemoa(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
         rank.pop(removed, None)
         pop.append(child)
         del pop[bisect_left(pop, removed)]
-    return state.result(cfg, pop)
+    return state.result(pop)
 
 
 def run_moead(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
@@ -532,7 +528,7 @@ def run_moead(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
             nb, lam = neighborhoods[i], nb_weights[i]
             better = tchebycheff(f_child, lam, z) < tchebycheff(f_seen[pop[nb]], lam, z)
             pop[nb[better]] = child
-    return state.result(cfg, pop)
+    return state.result(pop)
 
 
 _RUNNERS = {

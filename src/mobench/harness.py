@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -91,18 +91,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        known = {
-            "problems",
-            "search_transforms",
-            "objective_transforms",
-            "algorithms",
-            "budget",
-            "repetitions",
-            "base_seed",
-            "output_dir",
-            "combined_grid",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
@@ -449,18 +438,12 @@ def emit_errors_csv(summaries: Iterable[RunSummary], path: str | Path) -> Path:
 # --- report tables ---------------------------------------------------------
 
 
-def _is_neutral_cfg(t_cfg: dict) -> bool:
-    if t_cfg["kind"] == IDENTITY:
-        return True
-    return t_cfg["kind"] == BETA_CDF and t_cfg["alpha"] == 1.0 and t_cfg["beta"] == 1.0
-
-
 def transform_family(search_t: dict, objective_t: dict) -> str:
     if search_t["kind"] == SPHERED_ROTATION:
         return "sphered-rotation"
-    if search_t["kind"] == BETA_CDF and not _is_neutral_cfg(search_t):
+    if not TransformSpec.from_config(search_t).is_neutral:
         return "beta-cdf-search"
-    if objective_t["kind"] == BETA_CDF and not _is_neutral_cfg(objective_t):
+    if not TransformSpec.from_config(objective_t).is_neutral:
         return "beta-cdf-objective"
     return "identity"
 
@@ -488,7 +471,7 @@ def report_ab_heatmap(
             continue
         grid_side = r.search_t if space == "search" else r.objective_t
         other = r.objective_t if space == "search" else r.search_t
-        if not _is_neutral_cfg(other):
+        if not TransformSpec.from_config(other).is_neutral:
             continue
         if grid_side["kind"] == BETA_CDF:
             cell = (grid_side["alpha"], grid_side["beta"])

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, ParameterError
 from .problems import ProblemId, batch_kernel
-from .specfun import inv_reg_inc_beta, reg_inc_beta
-from .transforms import BETA_CDF, IDENTITY, SPHERED_ROTATION, TransformSpec, check_unit, transform_batch
+from .specfun import check_unit, inv_reg_inc_beta, reg_inc_beta
+from .transforms import BETA_CDF, IDENTITY, SPHERED_ROTATION, TransformSpec, transform_batch
 
 __all__ = [
     "ProblemInstance",
@@ -60,12 +60,13 @@ class ProblemInstance:
         return self.search_t.is_neutral and self.objective_t.is_neutral
 
 
-def _warp_rows(t: TransformSpec, f: np.ndarray, fn) -> np.ndarray:
-    """Apply fn, the Beta CDF or its inverse, to the components of the (n, 2)
+def _warp_rows(t: TransformSpec, f: np.ndarray, inverse: bool) -> np.ndarray:
+    """Apply the Beta CDF, or its inverse, to the components of the (n, 2)
     objective rows f that lie in [0, 1]; other components pass through.
 
-    One row goes through the scalar kernel and larger batches through the
-    array kernel; the two may differ by one ulp.
+    The kernel runs on the whole block, with 0 in place of each outside
+    component, so specfun picks the kernel by the block's size alone: the
+    scalar kernel for at most 8 rows, the array kernel above.
     """
     if not np.isfinite(f).all():
         raise NumericError("objective values must be finite")
@@ -73,14 +74,9 @@ def _warp_rows(t: TransformSpec, f: np.ndarray, fn) -> np.ndarray:
         return f
     if t.kind != BETA_CDF:
         raise ParameterError(f"objective transform must be identity or beta_cdf, got {t.kind}")
-    out = f.copy()
+    warp = inv_reg_inc_beta if inverse else reg_inc_beta
     inside = (f >= 0.0) & (f <= 1.0)
-    if len(f) == 1:
-        for j in np.flatnonzero(inside[0]):
-            out[0, j] = fn(float(f[0, j]), t.shape)
-    elif inside.any():
-        out[inside] = fn(f[inside], t.shape)
-    return out
+    return np.where(inside, warp(np.where(inside, f, 0.0), t.shape), f)
 
 
 def warp_objectives(t: TransformSpec, f) -> tuple[float, float]:
@@ -90,13 +86,13 @@ def warp_objectives(t: TransformSpec, f) -> tuple[float, float]:
     through unchanged, which keeps the map continuous (the CDF fixes 0 and 1)
     and strictly increasing, so dominance relations are preserved.
     """
-    a, b = _warp_rows(t, np.array([f], dtype=float), reg_inc_beta)[0].tolist()
+    a, b = _warp_rows(t, np.array([f], dtype=float), inverse=False)[0].tolist()
     return a, b
 
 
 def unwarp_objectives(t: TransformSpec, f_seen) -> tuple[float, float]:
     """Invert warp_objectives (percent point function on the unit region)."""
-    a, b = _warp_rows(t, np.array([f_seen], dtype=float), inv_reg_inc_beta)[0].tolist()
+    a, b = _warp_rows(t, np.array([f_seen], dtype=float), inverse=True)[0].tolist()
     return a, b
 
 
@@ -117,4 +113,4 @@ def evaluate_instance_batch(inst: ProblemInstance, x_seen) -> tuple[np.ndarray, 
     check_unit(pts)
     inner = transform_batch(inst.search_t, pts, inverse=False)
     f_orig = inst._kernel(inner)
-    return _warp_rows(inst.objective_t, f_orig, reg_inc_beta), f_orig
+    return _warp_rows(inst.objective_t, f_orig, inverse=False), f_orig

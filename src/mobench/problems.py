@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionError, UnknownProblemError
-from .transforms import check_unit
+from .specfun import check_unit
 
 __all__ = [
     "ProblemId",

@@ -2,9 +2,13 @@
 
 Evaluation uses the continued-fraction expansion with a modified Lentz
 iteration and the usual symmetry switch at x > (a+1)/(a+b+2); the inverse is
-a bracketed Newton iteration that falls back to bisection. Scalar and numpy
-array paths implement the same algorithm; the array path exists because the
-transform layer warps whole batches of points at once.
+a bracketed Newton iteration that falls back to bisection. A scalar kernel
+and a numpy array kernel implement the same algorithm and may differ by one
+ulp. This module alone chooses between them: a 0-d input or an array of at
+most 16 values runs the scalar kernel value by value, where it beats numpy's
+per-call dispatch; a larger array runs the array kernel. It also holds the
+one [0, 1] input check (`check_unit`) that the transform, problem and
+instance layers share.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ __all__ = ["ShapeParams", "reg_inc_beta", "inv_reg_inc_beta"]
 _CF_EPS = 1e-14  # relative convergence target for the continued fraction
 _CF_TINY = 1e-300  # Lentz underflow guard
 _MAX_ITER = 200
+_SCALAR_MAX = 16  # arrays of at most this many values run the scalar kernel
 
 
 @dataclass(frozen=True)
@@ -150,12 +155,25 @@ def _betainc_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _validate_unit(x, what: str) -> None:
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{what} must be finite, got {x!r}")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise DomainError(f"{what} must lie in [0, 1], got {x!r}")
+def check_unit(x: np.ndarray, what: str = "point coordinates") -> None:
+    """Raise DomainError unless every value of the array x lies in [0, 1]."""
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # false for NaN too
+        if not np.isfinite(x).all():
+            raise DomainError(f"{what} must be finite")
+        raise DomainError(f"{what} must lie in [0, 1]")
+
+
+def _run_kernel(v, what: str, params: ShapeParams, scalar, array):
+    """Check v against [0, 1] and apply the kernel pair the size rule picks."""
+    arr = np.asarray(v, dtype=float)
+    check_unit(arr, what)
+    a, b = params.alpha, params.beta
+    if arr.ndim == 0:
+        return scalar(a, b, float(arr))
+    if arr.size <= _SCALAR_MAX:
+        out = [scalar(a, b, t) for t in arr.ravel().tolist()]
+        return np.array(out, dtype=float).reshape(arr.shape)
+    return array(a, b, arr)
 
 
 def reg_inc_beta(x, params: ShapeParams):
@@ -169,17 +187,14 @@ def reg_inc_beta(x, params: ShapeParams):
         params: Positive shape parameters.
 
     Returns:
-        Value(s) of I_x in [0, 1], matching the input shape. The scalar and
-        array paths use different transcendental kernels and may differ by
-        one ulp; each path is individually deterministic.
+        Value(s) of I_x in [0, 1]: a float for a 0-d input, else an array of
+        the input's shape. A 0-d input and arrays of at most 16 values run
+        the scalar kernel on each value; larger arrays run the array kernel,
+        which works elementwise and may differ from the scalar one by one ulp.
+        A value's result thus depends only on the value and on which side of
+        16 the array's size lies.
     """
-    if np.ndim(x) == 0:
-        xf = float(x)
-        if not (0.0 <= xf <= 1.0):  # false for NaN too
-            raise DomainError(f"x must lie in [0, 1], got {x!r}")
-        return _betainc_scalar(params.alpha, params.beta, xf)
-    _validate_unit(x, "x")
-    return _betainc_array(params.alpha, params.beta, np.asarray(x, dtype=float))
+    return _run_kernel(x, "x", params, _betainc_scalar, _betainc_array)
 
 
 def _pdf_scalar(a: float, b: float, ln_b: float, x: float) -> float:
@@ -298,12 +313,7 @@ def inv_reg_inc_beta(q, params: ShapeParams):
         params: Positive shape parameters.
 
     Returns:
-        Abscissa value(s) in [0, 1]; exactly 0 at q=0 and 1 at q=1.
+        Abscissa value(s) in [0, 1]; exactly 0 at q=0 and 1 at q=1. Shapes
+        and the choice of kernel follow reg_inc_beta.
     """
-    if np.ndim(q) == 0:
-        qf = float(q)
-        if not (0.0 <= qf <= 1.0):
-            raise DomainError(f"q must lie in [0, 1], got {q!r}")
-        return _betaincinv_scalar(params.alpha, params.beta, qf)
-    _validate_unit(q, "q")
-    return _betaincinv_array(params.alpha, params.beta, np.asarray(q, dtype=float))
+    return _run_kernel(q, "q", params, _betaincinv_scalar, _betaincinv_array)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError, NumericError, ParameterError
-from .specfun import ShapeParams, inv_reg_inc_beta, reg_inc_beta
+from .errors import ConfigError, DimensionError, NumericError, ParameterError
+from .specfun import ShapeParams, check_unit, inv_reg_inc_beta, reg_inc_beta
 
 __all__ = [
     "RotationMatrix",
@@ -198,14 +198,6 @@ def rotation_matrix_2d(angle: float) -> RotationMatrix:
     return RotationMatrix(dim=2, entries=np.array([[c, -s], [s, c]]))
 
 
-def check_unit(x: np.ndarray) -> None:
-    """Raise DomainError unless every coordinate of x lies in [0, 1]."""
-    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # false for NaN too
-        if not np.isfinite(x).all():
-            raise DomainError("point coordinates must be finite")
-        raise DomainError("point coordinates must lie in [0, 1]")
-
-
 def _as_points(x) -> tuple[np.ndarray, bool]:
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
@@ -251,21 +243,14 @@ def _rotate(pts: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _warp(pts: np.ndarray, shape: ShapeParams, inverse: bool) -> np.ndarray:
-    fn = inv_reg_inc_beta if inverse else reg_inc_beta
-    if pts.size <= 16:  # scalar path beats numpy dispatch for single points
-        out = np.array([fn(v, shape) for v in pts.ravel().tolist()])
-        return out.reshape(pts.shape)
-    return fn(pts, shape)
-
-
 def transform_batch(t: TransformSpec, pts: np.ndarray, inverse: bool) -> np.ndarray:
     """Apply t, or its inverse, to an (n, d) batch already checked to lie in
     [0, 1]^d. The identity returns pts itself."""
     if t.kind == IDENTITY:
         return pts
     if t.kind == BETA_CDF:
-        return _clamp_unit(_warp(pts, t.shape, inverse))
+        warp = inv_reg_inc_beta if inverse else reg_inc_beta
+        return _clamp_unit(warp(pts, t.shape))
     if pts.shape[1] != t.rotation.dim:
         raise DimensionError(
             f"point dimension {pts.shape[1]} does not match rotation dim {t.rotation.dim}"

@@ -292,7 +292,7 @@ def _reference_smsemoa(inst, cfg):
             removed_alone += removed == n
         pop = np.delete(pop, removed)
         rank, crowd = _rank_and_crowding(state.f_seen, pop.tolist())
-    return state.result(cfg, pop), removed_alone
+    return state.result(pop), removed_alone
 
 
 def _check_smsemoa(problem, search, population, seed):
@@ -358,7 +358,7 @@ def _reference_moead(inst, cfg):
             nb = neighborhoods[i]
             better = tchebycheff(f_child, weights[nb], z) < tchebycheff(f_seen[pop[nb]], weights[nb], z)
             pop[nb[better]] = child
-    return state.result(cfg, pop)
+    return state.result(pop)
 
 
 @pytest.mark.parametrize(

@@ -8,11 +8,18 @@ import pytest
 from mobench.errors import DimensionError, DomainError, NumericError, ParameterError
 from mobench.instance import (
     ProblemInstance,
+    _warp_rows,
     evaluate_instance_batch,
     unwarp_objectives,
     warp_objectives,
 )
 from mobench.problems import ProblemId
+from mobench.specfun import (
+    _betainc_array,
+    _betainc_scalar,
+    _betaincinv_array,
+    _betaincinv_scalar,
+)
 from mobench.transforms import TransformSpec
 
 
@@ -168,6 +175,55 @@ class TestWarpObjectives:
             warp_objectives(t, (float("nan"), 0.5))
         with pytest.raises(NumericError):
             unwarp_objectives(t, (float("inf"), 0.5))
+
+
+def inside_only_warp_rows(t, f, inverse):
+    """Reference: the earlier _warp_rows, which warped only the components
+    inside [0, 1], on the scalar kernel for one row and on the array kernel
+    for any larger batch."""
+    a, b = t.shape.alpha, t.shape.beta
+    scalar, array = (
+        (_betaincinv_scalar, _betaincinv_array) if inverse else (_betainc_scalar, _betainc_array)
+    )
+    out = f.copy()
+    inside = (f >= 0.0) & (f <= 1.0)
+    if len(f) == 1:
+        for j in np.flatnonzero(inside[0]):
+            out[0, j] = scalar(a, b, float(f[0, j]))
+    elif inside.any():
+        out[inside] = array(a, b, f[inside])
+    return out
+
+
+class TestWarpRowsMatchesInsideOnly:
+    """The whole-block warp keeps the bits of the inside-only warp on one row
+    and on blocks of 9 or more rows."""
+
+    @staticmethod
+    def mixed_block(rng, n, inside_share):
+        f = rng.uniform(1.0, 3.0, (n, 2)) * rng.choice([-1.0, 1.0], (n, 2))
+        f[f < 0.0] += 1.0  # outside values on both sides of the interval
+        mask = rng.random((n, 2)) < inside_share
+        f[mask] = rng.random(int(mask.sum()))
+        edges = rng.random((n, 2)) < 0.05
+        f[edges] = rng.choice([0.0, 1.0], int(edges.sum()))
+        return f
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    @pytest.mark.parametrize("shape", [(0.5, 2.0), (2.5, 0.7), (0.2, 5.0)])
+    def test_bit_equal_on_one_row_and_nine_or_more(self, shape, inverse):
+        t = TransformSpec.beta_cdf(*shape)
+        rng = np.random.default_rng(29)
+        cases = [np.array([pair]) for pair in
+                 [(0.3, 0.8), (0.3, 1.7), (-0.4, 0.6), (-0.4, 2.0), (0.0, 1.0), (1.0, 0.25)]]
+        for n in (9, 10, 16, 17, 50, 200):
+            for share in (0.05, 0.3, 0.7, 1.0):  # 0.05: a large block, few inside values
+                cases.append(self.mixed_block(rng, n, share))
+        cases += [rng.random((1, 2)) for _ in range(50)]
+        for f in cases:
+            np.testing.assert_array_equal(
+                _warp_rows(t, f, inverse), inside_only_warp_rows(t, f, inverse)
+            )
 
 
 def dominates(a, b):

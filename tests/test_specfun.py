@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from mobench.errors import DomainError, ParameterError
-from mobench.specfun import ShapeParams, inv_reg_inc_beta, reg_inc_beta
+from mobench.specfun import (
+    ShapeParams,
+    _betainc_array,
+    _betainc_scalar,
+    _betaincinv_array,
+    _betaincinv_scalar,
+    inv_reg_inc_beta,
+    reg_inc_beta,
+)
 
 # Frozen oracle values: adaptive quadrature of the Beta density
 # (scipy.integrate.quad, epsabs=1e-14), independent of the continued fraction.
@@ -221,6 +229,69 @@ class TestInverse:
             inv_reg_inc_beta(-0.5, p)
         with pytest.raises(DomainError):
             inv_reg_inc_beta(2.0, p)
+
+
+KERNELS = {
+    "forward": (reg_inc_beta, _betainc_scalar, _betainc_array),
+    "inverse": (inv_reg_inc_beta, _betaincinv_scalar, _betaincinv_array),
+}
+
+
+def kernel_witnesses(scalar, array, a, b, count=17):
+    """Values in (0, 1) on which the scalar and array kernels differ.
+
+    Arrays built from them tell the kernels apart, so a test that expects
+    one kernel's bits fails if the other kernel ran.
+    """
+    pool = np.random.default_rng(43).random(4000)
+    differ = np.array([scalar(a, b, v) for v in pool.tolist()]) != array(a, b, pool)
+    found = pool[differ]
+    assert len(found) >= count, "too few values on which the kernels differ"
+    return found[:count]
+
+
+class TestKernelRule:
+    """At most 16 values run the scalar kernel per value; more run the array kernel."""
+
+    @pytest.mark.parametrize("direction", sorted(KERNELS))
+    @pytest.mark.parametrize("a,b", [(0.5, 2.0), (2.5, 0.7)])
+    def test_size_alone_picks_the_kernel(self, direction, a, b):
+        fn, scalar, array = KERNELS[direction]
+        p = ShapeParams(a, b)
+        w = kernel_witnesses(scalar, array, a, b)
+        for n in range(1, 17):
+            got = fn(w[:n], p)
+            assert got.shape == (n,) and got.dtype == np.float64
+            np.testing.assert_array_equal(got, [scalar(a, b, v) for v in w[:n].tolist()])
+        np.testing.assert_array_equal(fn(w, p), array(a, b, w))
+        # the rule counts values, not rows: 8 x 2 is scalar, 9 x 2 is array
+        block = np.concatenate([w, w[:1]]).reshape(9, 2)
+        np.testing.assert_array_equal(
+            fn(block[:8], p), np.reshape([scalar(a, b, v) for v in w[:16].tolist()], (8, 2))
+        )
+        np.testing.assert_array_equal(fn(block, p), array(a, b, block))
+
+    @pytest.mark.parametrize("direction", sorted(KERNELS))
+    def test_zero_d_gives_a_float_and_empty_gives_an_array(self, direction):
+        fn, scalar, _ = KERNELS[direction]
+        p = ShapeParams(0.5, 2.0)
+        got = fn(np.float64(0.37), p)
+        assert type(got) is float and got == scalar(0.5, 2.0, 0.37)
+        empty = fn(np.empty((0, 2)), p)
+        assert empty.shape == (0, 2) and empty.dtype == np.float64
+
+    @pytest.mark.parametrize("direction", sorted(KERNELS))
+    def test_unit_check_on_both_kernels(self, direction):
+        fn = KERNELS[direction][0]
+        p = ShapeParams(2.0, 2.0)
+        for n in (1, 16, 17, 40):
+            bad = np.full(n, 0.5)
+            bad[-1] = np.nan
+            with pytest.raises(DomainError, match="must be finite"):
+                fn(bad, p)
+            bad[-1] = 1.5
+            with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+                fn(bad, p)
 
 
 @given(
