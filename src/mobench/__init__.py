@@ -5,7 +5,7 @@ problems, runs standard multi-objective evolutionary algorithms on them, and
 aggregates hypervolume-based analyses into plot-ready tables.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .algorithms import AlgoConfig, RunResult, run_algorithm
 from .indicators import (

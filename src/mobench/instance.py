@@ -64,9 +64,8 @@ def _warp_rows(t: TransformSpec, f: np.ndarray, inverse: bool) -> np.ndarray:
     """Apply the Beta CDF, or its inverse, to the components of the (n, 2)
     objective rows f that lie in [0, 1]; other components pass through.
 
-    The kernel runs on the whole block, with 0 in place of each outside
-    component, so specfun picks the kernel by the block's size alone: the
-    scalar kernel for at most 8 rows, the array kernel above.
+    The warp runs on the whole block, with 0 in place of each outside
+    component; a component's result depends on its value alone.
     """
     if not np.isfinite(f).all():
         raise NumericError("objective values must be finite")
@@ -110,7 +109,8 @@ def evaluate_instance_batch(inst: ProblemInstance, x_seen) -> tuple[np.ndarray, 
     pts = np.asarray(x_seen, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != inst.problem.dim:
         raise DimensionError(f"expected a (n, {inst.problem.dim}) batch, got shape {pts.shape}")
-    check_unit(pts)
+    if inst.search_t.kind != BETA_CDF:
+        check_unit(pts)  # a Beta-CDF search warp checks pts in reg_inc_beta
     inner = transform_batch(inst.search_t, pts, inverse=False)
     f_orig = inst._kernel(inner)
     return _warp_rows(inst.objective_t, f_orig, inverse=False), f_orig

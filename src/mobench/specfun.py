@@ -2,13 +2,16 @@
 
 Evaluation uses the continued-fraction expansion with a modified Lentz
 iteration and the usual symmetry switch at x > (a+1)/(a+b+2); the inverse is
-a bracketed Newton iteration that falls back to bisection. A scalar kernel
-and a numpy array kernel implement the same algorithm and may differ by one
-ulp. This module alone chooses between them: a 0-d input or an array of at
-most 16 values runs the scalar kernel value by value, where it beats numpy's
-per-call dispatch; a larger array runs the array kernel. It also holds the
-one [0, 1] input check (`check_unit`) that the transform, problem and
-instance layers share.
+a bracketed Newton iteration that falls back to bisection. Each has a scalar
+kernel and a numpy array kernel that implement the same algorithm and give
+the same bits on every value, signed zeros included: the array kernels run
+the same sequence of IEEE operations and call the C library's log, log1p
+and exp once per element, as the scalar kernels do. This module alone
+chooses between them, for speed only: a 0-d input or a small array runs the
+scalar kernel value by value, where it beats numpy's per-call dispatch; a
+larger array runs the array kernel. The module also holds the one [0, 1]
+input check (`check_unit`) that the transform, problem and instance layers
+share.
 """
 
 from __future__ import annotations
@@ -25,7 +28,10 @@ __all__ = ["ShapeParams", "reg_inc_beta", "inv_reg_inc_beta"]
 _CF_EPS = 1e-14  # relative convergence target for the continued fraction
 _CF_TINY = 1e-300  # Lentz underflow guard
 _MAX_ITER = 200
-_SCALAR_MAX = 16  # arrays of at most this many values run the scalar kernel
+# Arrays of at most this many values run the scalar kernel value by value,
+# forward and inverse: the crossovers of bench/specfun_kernels.py (BENCH_11.json).
+_SCALAR_MAX = 80
+_SCALAR_MAX_INV = 320
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,11 @@ def _betainc_scalar(a: float, b: float, x: float) -> float:
     return max(0.0, 1.0 - math.exp(lbt) * _lentz_cf(b, a, xc) / b)
 
 
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """fn, a function of the math module, applied to each value of the 1-d x."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
 def _lentz_cf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     qab = a + b
     qap = a + 1.0
@@ -133,12 +144,12 @@ def _lentz_cf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _betainc_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized I_x(a, b) with scalar shape parameters."""
+    """Vectorized I_x(a, b) with scalar shape parameters; equals
+    _betainc_scalar on every value."""
     x = np.ascontiguousarray(x, dtype=float)
     out = np.empty(x.shape, dtype=float)
     ends = (x <= 0.0) | (x >= 1.0)
-    out[x <= 0.0] = 0.0
-    out[x >= 1.0] = 1.0
+    np.copyto(out, x, where=ends)  # I_0 = 0 and I_1 = 1, keeping the sign of a zero
     inner = np.flatnonzero(~ends)
     if inner.size == 0:
         return out
@@ -147,11 +158,9 @@ def _betainc_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
     xx = np.where(switch, 1.0 - xs, xs)
     aa = np.where(switch, b, a)
     bb = np.where(switch, a, b)
-    lbt = -_log_beta(a, b) + aa * np.log(xx) + bb * np.log1p(-xx)
-    res = np.exp(lbt) * _lentz_cf_array(aa, bb, xx) / aa
-    res = np.where(switch, 1.0 - res, res)
-    np.clip(res, 0.0, 1.0, out=res)
-    out.ravel()[inner] = res
+    lbt = -_log_beta(a, b) + aa * _libm(math.log, xx) + bb * _libm(math.log1p, -xx)
+    res = _libm(math.exp, lbt) * _lentz_cf_array(aa, bb, xx) / aa
+    out.ravel()[inner] = np.where(switch, np.maximum(0.0, 1.0 - res), np.minimum(1.0, res))
     return out
 
 
@@ -163,17 +172,19 @@ def check_unit(x: np.ndarray, what: str = "point coordinates") -> None:
         raise DomainError(f"{what} must lie in [0, 1]")
 
 
-def _run_kernel(v, what: str, params: ShapeParams, scalar, array):
-    """Check v against [0, 1] and apply the kernel pair the size rule picks."""
+def _run_kernel(v, what: str, params: ShapeParams, scalar, array, scalar_max: int):
+    """Check v against [0, 1] and apply the kernels to it: the array kernel
+    to an array of more than scalar_max values, else the scalar kernel to
+    each value."""
     arr = np.asarray(v, dtype=float)
     check_unit(arr, what)
     a, b = params.alpha, params.beta
     if arr.ndim == 0:
         return scalar(a, b, float(arr))
-    if arr.size <= _SCALAR_MAX:
-        out = [scalar(a, b, t) for t in arr.ravel().tolist()]
-        return np.array(out, dtype=float).reshape(arr.shape)
-    return array(a, b, arr)
+    if arr.size > scalar_max:
+        return array(a, b, arr)
+    out = [scalar(a, b, t) for t in arr.ravel().tolist()]
+    return np.array(out, dtype=float).reshape(arr.shape)
 
 
 def reg_inc_beta(x, params: ShapeParams):
@@ -188,13 +199,10 @@ def reg_inc_beta(x, params: ShapeParams):
 
     Returns:
         Value(s) of I_x in [0, 1]: a float for a 0-d input, else an array of
-        the input's shape. A 0-d input and arrays of at most 16 values run
-        the scalar kernel on each value; larger arrays run the array kernel,
-        which works elementwise and may differ from the scalar one by one ulp.
-        A value's result thus depends only on the value and on which side of
-        16 the array's size lies.
+        the input's shape. Each value's result depends on the value alone,
+        not on the array it came in or on the kernel that ran.
     """
-    return _run_kernel(x, "x", params, _betainc_scalar, _betainc_array)
+    return _run_kernel(x, "x", params, _betainc_scalar, _betainc_array, _SCALAR_MAX)
 
 
 def _pdf_scalar(a: float, b: float, ln_b: float, x: float) -> float:
@@ -252,36 +260,33 @@ def _betaincinv_scalar(a: float, b: float, q: float) -> float:
 
 
 def _betaincinv_array(a: float, b: float, q: np.ndarray) -> np.ndarray:
+    """Vectorized inverse with scalar shape parameters; equals
+    _betaincinv_scalar on every value. Its initial guess and density are the
+    scalar kernel's, called per element, and the Newton step runs the same
+    IEEE operations lane by lane."""
     q = np.ascontiguousarray(q, dtype=float)
     out = np.empty(q.shape, dtype=float)
-    out[q <= 0.0] = 0.0
-    out[q >= 1.0] = 1.0
-    idx = np.flatnonzero((q.ravel() > 0.0) & (q.ravel() < 1.0))
+    ends = (q <= 0.0) | (q >= 1.0)
+    np.copyto(out, q, where=ends)  # 0 and 1 map to themselves, keeping the sign of a zero
+    idx = np.flatnonzero(~ends)
     if idx.size == 0:
         return out
     ln_b = _log_beta(a, b)
     qa = q.ravel()[idx]
     lo = np.zeros_like(qa)
     hi = np.ones_like(qa)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        small = (np.log(qa) + math.log(a) + ln_b) / a
-        big = (np.log1p(-qa) + math.log(b) + ln_b) / b
-        x = np.where(
-            qa <= 0.5,
-            np.minimum(np.exp(np.maximum(small, -745.0)), 0.5),
-            np.maximum(1.0 - np.exp(np.maximum(big, -745.0)), 0.5),
-        )
-    np.copyto(x, a / (a + b), where=(x <= 0.0) | (x >= 1.0))
+    x = np.array([_initial_guess(a, b, ln_b, v) for v in qa.tolist()])
+    np.copyto(x, a / (a + b), where=~((x > 0.0) & (x < 1.0)))
     for _ in range(_MAX_ITER):
         f = _betainc_array(a, b, x) - qa
         pos = f > 0.0
         np.copyto(hi, x, where=pos)
         np.copyto(lo, x, where=~pos & (f != 0.0))
         closed = (f == 0.0) | (np.nextafter(lo, 1.0) >= hi)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lpdf = (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - ln_b
-            xn = x - f / np.exp(lpdf)
-        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
+        pdf = np.array([_pdf_scalar(a, b, ln_b, v) for v in x.tolist()])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = np.where((pdf > 0.0) & (pdf < math.inf), x - f / pdf, math.nan)
+        bad = ~((lo < xn) & (xn < hi))
         fallback = np.where(
             lo == 0.0,
             hi * 1e-3,
@@ -313,7 +318,8 @@ def inv_reg_inc_beta(q, params: ShapeParams):
         params: Positive shape parameters.
 
     Returns:
-        Abscissa value(s) in [0, 1]; exactly 0 at q=0 and 1 at q=1. Shapes
-        and the choice of kernel follow reg_inc_beta.
+        Abscissa value(s) in [0, 1]; exactly 0 at q=0 and 1 at q=1 (a zero
+        keeps its sign). Shapes, and the rule that a value's result depends
+        on the value alone, follow reg_inc_beta.
     """
-    return _run_kernel(q, "q", params, _betaincinv_scalar, _betaincinv_array)
+    return _run_kernel(q, "q", params, _betaincinv_scalar, _betaincinv_array, _SCALAR_MAX_INV)

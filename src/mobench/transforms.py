@@ -35,6 +35,7 @@ __all__ = [
 _ORTHO_TOL = 1e-12  # per entry of R^T R - I
 _DET_TOL = 1e-10
 _CLAMP_TOL = 1e-12  # max out-of-box excursion tolerated after a transform
+_ACCUMULATE_ROWS = 32  # batches of at most this many rows rotate in one accumulate call
 
 IDENTITY = "identity"
 BETA_CDF = "beta_cdf"
@@ -235,7 +236,18 @@ def _rotate(pts: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     z = z[nonzero]
     n2 = np.sqrt((z * z).sum(axis=1))
     u = z * (ninf[nonzero] / n2)[:, np.newaxis]
-    v = u @ matrix.T
+    # v = u @ matrix.T as a running sum over k of u[:, k] * matrix.T[k], in
+    # that order: a matmul's rounding depends on the batch size, the running
+    # sum's does not. Both forms below add in that order and give the same
+    # bits; one accumulate call is faster for a few rows, the loop's 2d - 1
+    # calls for many (BENCH_11.json).
+    mt = matrix.T
+    if len(u) <= _ACCUMULATE_ROWS:
+        v = np.add.accumulate(u[:, :, np.newaxis] * mt, axis=1)[:, -1]
+    else:
+        v = u[:, :1] * mt[0]
+        for k in range(1, len(mt)):
+            v += u[:, k : k + 1] * mt[k]
     v2 = np.sqrt((v * v).sum(axis=1))
     vinf = np.abs(v).max(axis=1)
     zp = v * (v2 / vinf)[:, np.newaxis]
@@ -244,8 +256,9 @@ def _rotate(pts: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 
 def transform_batch(t: TransformSpec, pts: np.ndarray, inverse: bool) -> np.ndarray:
-    """Apply t, or its inverse, to an (n, d) batch already checked to lie in
-    [0, 1]^d. The identity returns pts itself."""
+    """Apply t, or its inverse, to an (n, d) batch. A Beta-CDF warp checks
+    that pts lie in [0, 1]^d; the identity and the rotation expect a batch
+    already checked, and the identity returns pts itself."""
     if t.kind == IDENTITY:
         return pts
     if t.kind == BETA_CDF:

@@ -40,7 +40,7 @@ GOLDEN_SHA256 = {
     "dtlz1-d2__s:bcdf-a0.5-b2__o:id__moead__p100__s11.json":
         "47719227f155da207e6ba3bce2b293b2737dadd647d86f58f8dfa9df64da13cb",
     "dtlz1-d2__s:bcdf-a0.5-b2__o:id__moead__p100__s11.log":
-        "71ffd84a8a01afe7afea0d5c861c5fe48d95d49b69ea84dff2f3dd72b6a0aa73",
+        "c6059bf6ea4f0e14babaecea7edd5e159da35844357bd445b5ebf005ace7034c",
     "dtlz1-d2__s:id__o:bcdf-a2-b0.5__moead__p10__s12.json":
         "ce0c9324edbd9652af13a28ed0ea9f78a017a2161fde7de23b73d872f79b663f",
     "dtlz1-d2__s:id__o:bcdf-a2-b0.5__moead__p10__s12.log":
@@ -48,27 +48,27 @@ GOLDEN_SHA256 = {
     "dtlz1-d2__s:id__o:bcdf-a2-b0.5__nsga2__p10__s6.json":
         "e532653dc50a294ea1ec1976db16d3fc21a5d7e5d1f3fde514d0e42f358c171f",
     "dtlz1-d2__s:id__o:bcdf-a2-b0.5__nsga2__p10__s6.log":
-        "381e97d3da67359b24bd5c3274d84a54c80712bf79302bc0f5a03ceecb47ff75",
+        "31bf9e7e0e4b0523c67c5385aa41be9cb9acc7945c1ca3f9846fdfc0dd35dbb2",
     "dtlz1-d2__s:id__o:bcdf-a2-b0.5__random_search__p100__s2.json":
         "f517be0d0a32fb637a895d31974f7b4db44a4d56df315cfcfcc94d57ec61f14d",
     "dtlz1-d2__s:id__o:bcdf-a2-b0.5__random_search__p100__s2.log":
-        "02b8152526a1f16045ebac3be80fbb755a0c7896245273aa89eab55efff67306",
+        "bf67c0bd8897709c7d6436d4a574967f41f008d63032a1171540d7e5210f21a8",
     "dtlz1-d2__s:id__o:bcdf-a2-b0.5__smsemoa__p10__s7.json":
         "b43d984948065ca1da122d39ab0302c94be5f530eee39602b26cdceb95ec83a6",
     "dtlz1-d2__s:id__o:bcdf-a2-b0.5__smsemoa__p10__s7.log":
         "292d2f64660e66e4fb3bcf0e95b203d9055d191a9be9040b534c5a762318c8ae",
     "dtlz1-d2__s:rot-seed3__o:id__nsga2__p100__s5.json":
-        "5645a867dcebdbef6a6c5f87f5030c8260d7c98eb5c65fde3b129f7a881936c2",
+        "b77a7305828214df96a446d84be501dbef6912e276a05bf59c596fd95b460fc8",
     "dtlz1-d2__s:rot-seed3__o:id__nsga2__p100__s5.log":
-        "dbfc49c7e77f9a0e24614a1e9bfd5d27273baf10ffcf2cd66049467409a374e4",
+        "a38a0277de9e9d74b96fb8cf6dce8cbcd65c89612668fa289c6c8073e3243254",
     "zdt1-d10__s:rot-seed3__o:id__random_search__p10__s3.json":
-        "c3881bc7db113758601dffeb174f9262ba7b21ae7d974c9412d66d8d25769ab7",
+        "9e87040521156a5a508626974311dc5eb7f4d2e2013ae87f36509006493b14a8",
     "zdt1-d10__s:rot-seed3__o:id__random_search__p10__s3.log":
-        "73a3be8240c6d2813eb6ea0979d1f3b32d2df5553309a90c240a21cd692d3ae0",
+        "33b7c27e35dfc3ae284b30376e4ebd43c3fc9023b300540b164d00ff9e1d091f",
     "zdt3-d2__s:bcdf-a0.5-b2__o:id__nsga2__p10__s4.json":
         "18fb0c8fa33f7d730027ea62494c60e38e17be84582d2f50f6014722873036ab",
     "zdt3-d2__s:bcdf-a0.5-b2__o:id__nsga2__p10__s4.log":
-        "c0bfcb4c5d621950efd94f1c3cc79d46a30d86bbf1be8be81f23703579738b61",
+        "aff73573c539cf3c356e381b7a02f704e0554bf473005007ad3297db34457b0e",
     "zdt3-d2__s:bcdf-a0.5-b2__o:id__smsemoa__p10__s9.json":
         "1853132e2273e91310a951f78310d4a49e537c5c70bebc7e15cbb3ebc2d929dc",
     "zdt3-d2__s:bcdf-a0.5-b2__o:id__smsemoa__p10__s9.log":
@@ -78,16 +78,16 @@ GOLDEN_SHA256 = {
     "zdt3-d2__s:id__o:id__random_search__p10__s1.log":
         "ae597fe1422c9239f04f1ddaa750809dfd1ccdf2629e4e9e8302c4bdfff7c3e3",
     "zdt3-d2__s:rot-seed3__o:id__moead__p10__s10.json":
-        "47890428ec161906406e55ee9c235f99138e069b74df658f2b04be7313165b51",
+        "e8f5827cd2db1cdcb9c269f21472d1401dbf3b982409bbc0ee1b35b30e0eb29f",
     "zdt3-d2__s:rot-seed3__o:id__moead__p10__s10.log":
-        "b6c3717ed554a297c2173c3907bbd2332a295ecf277d2a35e73e2b407c298bfa",
+        "70ed00bdee40e9a2476ad252afb3f62af957c689be8f275a627aef5fc33143aa",
     "zdt3-d2__s:rot-seed3__o:id__smsemoa__p100__s8.json":
-        "5b6da708b275c627387c8d98f610ecfda04056cb5030f5ccf0a8e3d819086230",
+        "b3372bddc1d31edce74ad019c113bda0bdff15bed8c372e0ccd6740dea59e5dd",
     "zdt3-d2__s:rot-seed3__o:id__smsemoa__p100__s8.log":
-        "0a2d72a0cef24b7c9af1550f332470a72168d45ff492350e4422d97e55edd4dc",
+        "04374e16f452998a9cc5d92e1d159b957362eefd0a75243f9f4631f2a9e44057",
 }
 
-RUNS_CSV_SHA256 = "df62a6beee1985f15ab7016bc60e1a0205b697f0b78bd9cb52c56f5fc2f6faad"
+RUNS_CSV_SHA256 = "987d1ae1f773573a80e79161304c465def5ff094e6248386486325076c86388e"
 
 
 def golden_jobs() -> list[Job]:

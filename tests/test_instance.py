@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mobench import instance, specfun, transforms
 from mobench.errors import DimensionError, DomainError, NumericError, ParameterError
 from mobench.instance import (
     ProblemInstance,
@@ -13,7 +16,7 @@ from mobench.instance import (
     unwarp_objectives,
     warp_objectives,
 )
-from mobench.problems import ProblemId
+from mobench.problems import ProblemId, list_problems
 from mobench.specfun import (
     _betainc_array,
     _betainc_scalar,
@@ -269,3 +272,67 @@ class TestDominancePreservation:
         n_in = len(np.unique(pts, axis=0))
         n_out = len(np.unique(out, axis=0))
         assert n_out >= n_in - 5  # allow for float collisions only
+
+
+SHAPES = (0.2, 0.5, 1.0, 2.0, 5.0)
+SPLIT_TRANSFORMS = ("identity", "beta_search", "beta_objective", "rotation")
+
+
+@st.composite
+def split_batches(draw):
+    """An instance, a batch of points for it and cut positions that split it."""
+    pid = draw(st.sampled_from(list_problems()))
+    kind = draw(st.sampled_from(SPLIT_TRANSFORMS))
+    search = objective = TransformSpec.identity()
+    if kind == "rotation":
+        search = TransformSpec.sphered_rotation(dim=pid.dim, seed=draw(st.integers(0, 20)))
+    elif kind != "identity":
+        beta = TransformSpec.beta_cdf(draw(st.sampled_from(SHAPES)), draw(st.sampled_from(SHAPES)))
+        search, objective = (beta, objective) if kind == "beta_search" else (search, beta)
+    n = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.random((n, pid.dim))
+    special = rng.random(x.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    x[special] = rng.choice([0.0, -0.0, 0.5, 1.0, 1e-300, 1.0 - 2.0**-53], int(special.sum()))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=8))) if n > 1 else []
+    return ProblemInstance(pid, search, objective), x, cuts
+
+
+@given(case=split_batches())
+@settings(max_examples=250, deadline=None)
+def test_any_split_of_a_batch_gives_the_same_bits(case):
+    """A point's f_seen and f_orig depend on the point alone, not on the
+    batch it is evaluated in."""
+    inst, x, cuts = case
+    f_seen, f_orig = evaluate_instance_batch(inst, x)
+    parts = [evaluate_instance_batch(inst, part) for part in np.split(x, cuts)]
+    assert np.concatenate([p[0] for p in parts]).tobytes() == f_seen.tobytes()
+    assert np.concatenate([p[1] for p in parts]).tobytes() == f_orig.tobytes()
+
+
+def test_beta_warps_check_each_batch_once(monkeypatch):
+    """A Beta search warp and a Beta objective warp each check their block
+    once, inside the public reg_inc_beta they call by name; the instance
+    does not check x_seen a second time."""
+    checks, warps = [], []
+    check_unit = specfun.check_unit
+
+    def counting(x, what="point coordinates"):
+        checks.append(x.shape)
+        check_unit(x, what)
+
+    for module in (specfun, transforms, instance):
+        monkeypatch.setattr(module, "check_unit", counting)
+    for module in (transforms, instance):
+        warp = module.reg_inc_beta
+        monkeypatch.setattr(
+            module, "reg_inc_beta", lambda x, p, warp=warp: warps.append(x.shape) or warp(x, p)
+        )
+    beta = TransformSpec.beta_cdf(0.5, 2.0)
+    inst = make_instance(problem=("dtlz", 1, 2), search=beta, objective=beta)
+    for n in (1, 10, 100):
+        checks.clear()
+        warps.clear()
+        evaluate_instance_batch(inst, np.full((n, 2), 0.3))
+        assert checks == [(n, 2), (n, 2)]
+        assert warps == [(n, 2), (n, 2)]

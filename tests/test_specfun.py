@@ -15,6 +15,8 @@ from mobench.specfun import (
     _betainc_scalar,
     _betaincinv_array,
     _betaincinv_scalar,
+    _SCALAR_MAX,
+    _SCALAR_MAX_INV,
     inv_reg_inc_beta,
     reg_inc_beta,
 )
@@ -118,14 +120,14 @@ class TestRegIncBeta:
                 assert np.all(np.diff(ys[interior]) > 0.0)
 
     def test_array_matches_scalar_to_ulp(self):
-        # paths share the algorithm but not the transcendental kernels
+        # an array above the scalar cutoff gives each value's 0-d bits
         rng = np.random.default_rng(9)
-        xs = rng.random(64)
+        xs = rng.random(2 * _SCALAR_MAX)
         for a, b in [(0.2, 5.0), (5.0, 0.2), (1.0, 1.0), (2.5, 0.7)]:
             p = ShapeParams(a, b)
             batch = reg_inc_beta(xs, p)
             singles = np.array([reg_inc_beta(float(x), p) for x in xs])
-            np.testing.assert_allclose(batch, singles, rtol=5e-16, atol=5e-16)
+            np.testing.assert_array_equal(batch, singles)
 
     def test_domain_errors(self):
         p = ShapeParams(2, 2)
@@ -216,12 +218,13 @@ class TestInverse:
 
     def test_array_matches_scalar(self):
         rng = np.random.default_rng(31)
-        qs = rng.random(64)
+        # an array above the scalar cutoff gives each value's 0-d bits
+        qs = rng.random(2 * _SCALAR_MAX_INV)
         for a, b in [(0.2, 5.0), (5.0, 0.2), (2.0, 2.0)]:
             p = ShapeParams(a, b)
             batch = inv_reg_inc_beta(qs, p)
             singles = np.array([inv_reg_inc_beta(float(q), p) for q in qs])
-            np.testing.assert_allclose(batch, singles, atol=1e-15, rtol=0)
+            np.testing.assert_array_equal(batch, singles)
 
     def test_domain_errors(self):
         p = ShapeParams(2, 2)
@@ -231,49 +234,56 @@ class TestInverse:
             inv_reg_inc_beta(2.0, p)
 
 
-KERNELS = {
-    "forward": (reg_inc_beta, _betainc_scalar, _betainc_array),
-    "inverse": (inv_reg_inc_beta, _betaincinv_scalar, _betaincinv_array),
+KERNELS = {  # public function, scalar kernel, array kernel, scalar cutoff
+    "forward": (reg_inc_beta, _betainc_scalar, _betainc_array, _SCALAR_MAX),
+    "inverse": (inv_reg_inc_beta, _betaincinv_scalar, _betaincinv_array, _SCALAR_MAX_INV),
 }
 
 
-def kernel_witnesses(scalar, array, a, b, count=17):
-    """Values in (0, 1) on which the scalar and array kernels differ.
-
-    Arrays built from them tell the kernels apart, so a test that expects
-    one kernel's bits fails if the other kernel ran.
-    """
-    pool = np.random.default_rng(43).random(4000)
-    differ = np.array([scalar(a, b, v) for v in pool.tolist()]) != array(a, b, pool)
-    found = pool[differ]
-    assert len(found) >= count, "too few values on which the kernels differ"
-    return found[:count]
+def edge_packed(rng, n):
+    """n values in [0, 1]: uniform ones, ones packed near 0 and near 1, and
+    the endpoints, 0 with either sign."""
+    v = rng.random(n)
+    third = n // 3
+    v[:third] = 10.0 ** -rng.uniform(1.0, 40.0, third)
+    v[third : 2 * third] = 1.0 - 10.0 ** -rng.uniform(1.0, 16.0, third)
+    ends = rng.random(n) < 0.02
+    v[ends] = rng.choice([0.0, -0.0, 1.0], int(ends.sum()))
+    return rng.permutation(v)
 
 
 class TestKernelRule:
-    """At most 16 values run the scalar kernel per value; more run the array kernel."""
+    """The size of an array picks the kernel, for speed alone: every size
+    gives the per-value scalar kernel's bits."""
 
     @pytest.mark.parametrize("direction", sorted(KERNELS))
     @pytest.mark.parametrize("a,b", [(0.5, 2.0), (2.5, 0.7)])
     def test_size_alone_picks_the_kernel(self, direction, a, b):
-        fn, scalar, array = KERNELS[direction]
+        fn, scalar, _, n = KERNELS[direction]
         p = ShapeParams(a, b)
-        w = kernel_witnesses(scalar, array, a, b)
-        for n in range(1, 17):
-            got = fn(w[:n], p)
-            assert got.shape == (n,) and got.dtype == np.float64
-            np.testing.assert_array_equal(got, [scalar(a, b, v) for v in w[:n].tolist()])
-        np.testing.assert_array_equal(fn(w, p), array(a, b, w))
-        # the rule counts values, not rows: 8 x 2 is scalar, 9 x 2 is array
-        block = np.concatenate([w, w[:1]]).reshape(9, 2)
-        np.testing.assert_array_equal(
-            fn(block[:8], p), np.reshape([scalar(a, b, v) for v in w[:16].tolist()], (8, 2))
-        )
-        np.testing.assert_array_equal(fn(block, p), array(a, b, block))
+        rng = np.random.default_rng(43)
+        half = n // 2
+        shapes = [(1,), (n,), (n + 1,), (half, 2), (half + 1, 2), (5000,)]
+        for shape in shapes:
+            x = edge_packed(rng, int(np.prod(shape))).reshape(shape)
+            got = fn(x, p)
+            assert got.shape == shape and got.dtype == np.float64
+            want = np.reshape([scalar(a, b, v) for v in x.ravel().tolist()], shape)
+            assert got.tobytes() == want.tobytes(), shape
+
+    @pytest.mark.parametrize("direction", sorted(KERNELS))
+    def test_array_kernel_equals_scalar_kernel_on_the_grid(self, direction):
+        _, scalar, array, _ = KERNELS[direction]
+        rng = np.random.default_rng(47)
+        for a in GRID:
+            for b in GRID:
+                x = edge_packed(rng, 400)
+                want = np.array([scalar(a, b, v) for v in x.tolist()])
+                assert array(a, b, x).tobytes() == want.tobytes(), (a, b)
 
     @pytest.mark.parametrize("direction", sorted(KERNELS))
     def test_zero_d_gives_a_float_and_empty_gives_an_array(self, direction):
-        fn, scalar, _ = KERNELS[direction]
+        fn, scalar, _, _ = KERNELS[direction]
         p = ShapeParams(0.5, 2.0)
         got = fn(np.float64(0.37), p)
         assert type(got) is float and got == scalar(0.5, 2.0, 0.37)
@@ -282,9 +292,9 @@ class TestKernelRule:
 
     @pytest.mark.parametrize("direction", sorted(KERNELS))
     def test_unit_check_on_both_kernels(self, direction):
-        fn = KERNELS[direction][0]
+        fn, _, _, n_max = KERNELS[direction]
         p = ShapeParams(2.0, 2.0)
-        for n in (1, 16, 17, 40):
+        for n in (1, n_max, n_max + 1, 2 * n_max):
             bad = np.full(n, 0.5)
             bad[-1] = np.nan
             with pytest.raises(DomainError, match="must be finite"):

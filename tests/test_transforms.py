@@ -19,6 +19,7 @@ from mobench.transforms import (
     TransformSpec,
     apply_forward,
     apply_inverse,
+    _ACCUMULATE_ROWS,
     random_rotation,
     rotation_matrix_2d,
 )
@@ -180,6 +181,21 @@ class TestRotationStructure:
         assert neutral_beta.is_neutral and neutral_rot.is_neutral
         assert TransformSpec.identity().is_neutral
         assert not TransformSpec.beta_cdf(0.5, 1.0).is_neutral
+
+    @pytest.mark.parametrize("dim", [2, 3, 10])
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_rows_alone_and_in_a_batch_give_the_same_bits(self, dim, inverse):
+        # batches on both sides of _ACCUMULATE_ROWS run different numpy
+        # calls that must add R u's products in the same order
+        rng = np.random.default_rng(19)
+        pts = rng.random((3 * _ACCUMULATE_ROWS, dim))
+        special = rng.random(pts.shape) < 0.1
+        pts[special] = rng.choice([0.0, -0.0, 0.5, 1.0], int(special.sum()))
+        t = TransformSpec.sphered_rotation(dim=dim, seed=6)
+        apply = apply_inverse if inverse else apply_forward
+        alone = np.array([apply(t, p) for p in pts])
+        for n in (_ACCUMULATE_ROWS, _ACCUMULATE_ROWS + 1, len(pts)):
+            assert apply(t, pts[:n]).tobytes() == alone[:n].tobytes(), n
 
 
 class TestRandomRotation:
