@@ -1,0 +1,221 @@
+"""Time the parts of a steady-state step and the runs that repeat it.
+
+SMS-EMOA and MOEA/D evaluate one point per step, so numpy's per-call cost
+on one-row arrays shapes their run time. This script times, best of
+--repeats:
+
+- `evaluate_instance_batch` on one row: the identity (dtlz1-d2) and the
+  sphered rotation at d=2 (zdt3-d2) and d=10 (zdt3-d10);
+- one binary tournament (`_tournament`) over 100 rows;
+- one SMS-EMOA drop, the first smallest hypervolume contributor of a
+  front of 11 and of 101 members;
+- the 16 runs of perfbench's steady-state-ranking workload (dtlz1-d2 and
+  zdt3-d2; the identity and rotation seed 1; SMS-EMOA and MOEA/D at
+  populations 10 and 100; budget 1000), one after another.
+
+With --other, it also imports the mobench package of a second source tree
+under the name `mobench_other`, runs every case on both trees, alternating
+which goes first, and asserts that both give the same bits: the evaluated
+objectives, the tournament winners and the generator state after them, the
+drops, and every run's x, f_seen, f_orig and final population. Prints JSON.
+
+    PYTHONPATH=src python3 bench/steady_step.py --repeats 5
+    PYTHONPATH=src python3 bench/steady_step.py --repeats 5 --other ../other-checkout
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import json
+import platform
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+RUN_CONFIG = {
+    "problems": ["dtlz1-d2", "zdt3-d2"],
+    "search_transforms": [{"kind": "identity"}, {"kind": "sphered_rotation", "seed": 1}],
+    "algorithms": [{"name": name, "population": pop}
+                   for name in ("smsemoa", "moead") for pop in (10, 100)],
+    "budget": 1000,
+    "repetitions": 1,
+}
+
+
+def load_tree(root: str, name: str = "mobench_other"):
+    """Import root/src/mobench as the package `name`; its modules import one
+    another relatively, so they bind to that copy only."""
+    pkg = Path(root) / "src" / "mobench"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return name
+
+
+class Tree:
+    """The modules of one mobench copy."""
+
+    def __init__(self, package: str):
+        mod = {m: importlib.import_module(f"{package}.{m}")
+               for m in ("algorithms", "harness", "instance", "problems", "transforms")}
+        self.alg, self.harness, self.inst = mod["algorithms"], mod["harness"], mod["instance"]
+        self.problems, self.transforms = mod["problems"], mod["transforms"]
+
+    def instance(self, problem: str, search: dict):
+        pid = self.problems.parse_problem_id(problem)
+        spec = self.transforms.TransformSpec
+        return self.inst.ProblemInstance(pid, spec.from_config(search, dim=pid.dim),
+                                         spec.identity())
+
+    def drop(self, keys, f_seen):
+        """The position SMS-EMOA drops from a front of ascending (f1, f2, row)
+        keys, as this tree's runner finds it."""
+        alg = self.alg
+        if hasattr(alg, "_smallest_contributor"):
+            return lambda: alg._smallest_contributor(keys)
+        rows = [row for _, _, row in keys]
+
+        def drop():  # the argmin over the front's f_seen rows against their max + 1
+            front = f_seen[rows]
+            return int(np.argmin(alg.hv_contributions_2d(front, front.max(axis=0) + 1.0)))
+        return drop
+
+
+def one_row_cases(tree: Tree, rows: np.ndarray):
+    out = {}
+    for name, problem, search in (
+        ("evaluate_1_row.identity.d2", "dtlz1-d2", {"kind": "identity"}),
+        ("evaluate_1_row.rotation.d2", "zdt3-d2", {"kind": "sphered_rotation", "seed": 1}),
+        ("evaluate_1_row.rotation.d10", "zdt3-d10", {"kind": "sphered_rotation", "seed": 1}),
+    ):
+        inst = tree.instance(problem, search)
+        d = inst.problem.dim
+        points = [r[np.newaxis, :d] for r in rows]
+        fn = tree.inst.evaluate_instance_batch
+        out[name] = (
+            lambda fn=fn, inst=inst, p=points[0]: fn(inst, p),
+            lambda fn=fn, inst=inst, points=points: b"".join(
+                a.tobytes() for p in points for a in fn(inst, p)),
+        )
+    return out
+
+
+def sms_front(rng, n: int):
+    """A front of n members on a coarse grid, so with exact duplicates: its
+    ascending (f1, f2, row) keys and the f_seen rows they name."""
+    f1 = np.round(rng.random(n) * 40) / 40
+    f_seen = np.column_stack([f1, (1.0 - f1) ** 2])
+    return sorted((a, b, row) for row, (a, b) in enumerate(f_seen.tolist())), f_seen
+
+
+def step_cases(tree: Tree, seed: int):
+    alg, out = tree.alg, {}
+    rng = np.random.default_rng(seed)
+    pop = list(range(100))
+    rank = dict(zip(pop, rng.integers(0, 3, 100).tolist()))
+    crowd = dict(zip(pop, rng.random(100).tolist()))
+
+    def winners():
+        draw = np.random.default_rng(seed)
+        won = [alg._tournament(pop, rank, crowd, draw) for _ in range(500)]
+        return json.dumps([won, draw.bit_generator.state]).encode()
+    draw = np.random.default_rng(seed)
+    out["tournament.p100"] = (lambda: alg._tournament(pop, rank, crowd, draw), winners)
+    for n in (11, 101):
+        timed = tree.drop(*sms_front(rng, n))
+        checks = [tree.drop(*sms_front(rng, n)) for _ in range(40)]
+        out[f"smsemoa_drop.front{n}"] = (
+            timed, lambda checks=checks: json.dumps([c() for c in checks]).encode())
+    return out
+
+
+def best_us(fn, number: int) -> float:
+    start = time.perf_counter()
+    for _ in range(number):
+        fn()
+    return (time.perf_counter() - start) / number * 1e6
+
+
+def run_jobs(tree: Tree, base_seed: int):
+    cfg = tree.harness.ExperimentConfig.from_dict({**RUN_CONFIG, "base_seed": base_seed})
+    return tree.harness.expand_matrix(cfg)
+
+
+def time_runs(tree: Tree, jobs) -> tuple[dict, bytes]:
+    seconds, blob = {}, []
+    for job in jobs:
+        start = time.perf_counter()
+        res = tree.alg.run_algorithm(job.instance, job.algo)
+        key = f"{job.algo.name}.p{job.algo.population}"
+        seconds[key] = seconds.get(key, 0.0) + time.perf_counter() - start
+        blob += [res.x.tobytes(), res.f_seen.tobytes(), res.f_orig.tobytes(),
+                 res.final_population.astype(np.int64).tobytes()]
+    return seconds, b"".join(blob)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--number", type=int, default=2000, help="calls per timing of a case")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--run-seed", type=int, default=1, help="perfbench's base seed")
+    parser.add_argument("--other", help="root of a second source checkout to compare with")
+    args = parser.parse_args()
+
+    trees = {"this": Tree("mobench")}
+    if args.other:
+        trees["other"] = Tree(load_tree(args.other))
+    rows = np.random.default_rng(args.seed).random((200, 10))
+    rows[rows < 0.05] = 0.0
+    rows[rows > 0.95] = 1.0
+    cases = {name: {**one_row_cases(t, rows), **step_cases(t, args.seed)}
+             for name, t in trees.items()}
+    jobs = {name: run_jobs(t, args.run_seed) for name, t in trees.items()}
+    assert len({len(j) for j in jobs.values()}) == 1 and len(jobs["this"]) == 16
+
+    names = list(trees)
+    for case in cases["this"]:  # every tree gives the same bits
+        outputs = {name: cases[name][case][1]() for name in names}
+        assert len(set(outputs.values())) == 1, case
+    best = {case: {name: float("inf") for name in names} for case in cases["this"]}
+    runs = {name: {} for name in names}
+    run_bits = {}
+    for r in range(args.repeats):
+        order = names if r % 2 == 0 else names[::-1]
+        for case in best:
+            for name in order:
+                us = best_us(cases[name][case][0], args.number)
+                best[case][name] = min(best[case][name], us)
+        for name in order:
+            seconds, run_bits[name] = time_runs(trees[name], jobs[name])
+            for key, s in seconds.items():
+                runs[name][key] = min(runs[name].get(key, float("inf")), s)
+        assert len(set(run_bits.values())) == 1, "the steady-state-ranking runs differ"
+
+    def row(values: dict, unit: str) -> dict:
+        out = {f"{name}_{unit}": round(v, 3) for name, v in values.items()}
+        if "other" in values:
+            out["this_over_other"] = round(values["this"] / values["other"], 3)
+        return out
+
+    for name in names:  # the sum of each group's best
+        runs[name]["all_16"] = sum(runs[name].values())
+    print(json.dumps({
+        "machine": {"python": platform.python_version(), "numpy": np.__version__},
+        "repeats": args.repeats,
+        "number": args.number,
+        "bits_checked_equal_to_other": "other" in trees,
+        "cases_us_per_call": {case: row(v, "us") for case, v in best.items()},
+        "steady_state_ranking_runs_s": {
+            key: row({name: runs[name][key] for name in names}, "s") for key in runs["this"]},
+    }, indent=1))
+
+
+if __name__ == "__main__":
+    main()

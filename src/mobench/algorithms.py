@@ -351,8 +351,16 @@ class _FrontCrowding:
 
 
 def _tournament(pop, rank, crowd, rng) -> int:
-    """Binary tournament over the rows in pop; returns the winning row."""
-    i, j = rng.integers(0, len(pop), size=2).tolist()
+    """Binary tournament over the rows in pop; returns the winning row.
+
+    Draw order: two integers in [0, len(pop)), the positions of the two
+    contestants, in that order. They equal rng.integers(0, len(pop), size=2):
+    both forms take 32-bit halves from the bit generator's own buffer, the
+    low half of a 64-bit output first, so two scalar calls draw the same
+    stream at a fraction of the array call's cost.
+    """
+    n = len(pop)
+    i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
     a, b = pop[i], pop[j]
     if rank[a] != rank[b]:
         return a if rank[a] < rank[b] else b
@@ -362,26 +370,47 @@ def _tournament(pop, rank, crowd, rng) -> int:
     return a
 
 
-def hv_contributions_2d(front_objectives, ref) -> np.ndarray:
-    """Exclusive hypervolume of each member of a non-dominated 2-D front."""
-    f = np.asarray(front_objectives, dtype=float)
-    order = np.lexsort((f[:, 1], f[:, 0]))
-    fs = f[order]
-    right_f1 = np.concatenate((fs[1:, 0], [ref[0]]))
-    upper_f2 = np.concatenate(([ref[1]], fs[:-1, 1]))
-    contrib = np.empty(len(f))
-    contrib[order] = np.maximum(right_f1 - fs[:, 0], 0.0) * np.maximum(upper_f2 - fs[:, 1], 0.0)
+def hv_contributions_2d(front, ref) -> list[float]:
+    """Exclusive hypervolume of each member of a non-dominated 2-D front.
+
+    front lists its members as (f1, f2, ...) sequences in ascending (f1, f2)
+    order, as SMS-EMOA's (f1, f2, row) keys are, and ref lies at or beyond
+    the front's nadir; the contributions come in front's order. Member k's
+    box reaches from its point to the next member's f1 and the previous
+    member's f2, or to ref at either end, so an exact duplicate contributes 0.
+    """
+    r1, r2 = ref
+    contrib = []
+    up, last = r2, len(front) - 1
+    for k in range(len(front)):
+        f1, f2 = front[k][0], front[k][1]
+        right = front[k + 1][0] if k < last else r1
+        contrib.append((right - f1) * (up - f2))
+        up = f2
     return contrib
 
 
-def tchebycheff(f, lam, z):
-    """Weighted Tchebycheff aggregation max_i lam_i |f_i - z_i|.
+def _smallest_contributor(front: list[tuple]) -> int:
+    """Position of SMS-EMOA's drop in a front of ascending (f1, f2, row)
+    keys: the first smallest hypervolume contributor against the front's
+    nadir shifted by (1, 1), which is (last f1 + 1, first f2 + 1)."""
+    contrib = hv_contributions_2d(front, (front[-1][0] + 1.0, front[0][1] + 1.0))
+    return contrib.index(min(contrib))  # np.argmin's first smallest
 
-    f and lam may be single pairs or (k, 2) rows; rows give k values.
+
+def tchebycheff(f, lam, z) -> list[float]:
+    """Weighted Tchebycheff aggregation max_i lam_i |f_i - z_i| of each row.
+
+    f and lam are sequences of objective and weight pairs of equal length;
+    row k gives f[k]'s value under lam[k]. For finite inputs every value is
+    a number, and the larger of two terms is np.maximum's.
     """
-    f = np.asarray(f, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    return np.maximum(lam[..., 0] * np.abs(f[..., 0] - z[0]), lam[..., 1] * np.abs(f[..., 1] - z[1]))
+    z1, z2 = z
+    out = []
+    for (f1, f2), (l1, l2) in zip(f, lam):
+        g, h = l1 * abs(f1 - z1), l2 * abs(f2 - z2)
+        out.append(g if g >= h else h)
+    return out
 
 
 def moead_weights(population: int) -> np.ndarray:
@@ -449,7 +478,8 @@ def run_smsemoa(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
     """Steady-state SMS-EMOA: drop the smallest hypervolume contributor.
 
     Contributions are computed on the worst front in f_seen space against
-    that front's nadir shifted by (1, 1). The fronts are kept from one
+    that front's nadir shifted by (1, 1), in one pass over its ascending
+    keys (_smallest_contributor). The fronts are kept from one
     iteration to the next: the child is inserted with _insert_into_fronts,
     and the removed member sits in the worst front and dominates nobody, so
     ranks change only on the fronts that changed. Crowding distances are
@@ -474,11 +504,7 @@ def run_smsemoa(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
         (child,) = state.evaluate(child_x[np.newaxis]).tolist()
         first, stop = _insert_into_fronts(fronts, (*f_seen[child].tolist(), child))
         worst = fronts[-1]
-        drop = 0
-        if len(worst) > 1:
-            front = f_seen[[row for _, _, row in worst]]
-            drop = int(np.argmin(hv_contributions_2d(front, front.max(axis=0) + 1.0)))
-        removed = worst.pop(drop)[2]
+        removed = worst.pop(_smallest_contributor(worst) if len(worst) > 1 else 0)[2]
         if not worst:
             fronts.pop()
         for r in range(first, min(stop, len(fronts))):
@@ -505,11 +531,12 @@ def run_moead(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
     t_size = min(MOEAD_NEIGHBORS, n)
     dist = np.linalg.norm(weights[:, np.newaxis, :] - weights[np.newaxis, :, :], axis=2)
     neighborhoods = np.argsort(dist, axis=1, kind="stable")[:, :t_size]
-    nb_weights = weights[neighborhoods]
+    nb_rows, nb_weights = neighborhoods.tolist(), weights[neighborhoods].tolist()
     everyone = np.arange(n)
-    pop = state.evaluate(rng.random((n, inst.problem.dim)))
+    pop = state.evaluate(rng.random((n, inst.problem.dim))).tolist()
     x, f_seen = state.x, state.f_seen
-    z = f_seen[pop].min(axis=0)
+    f_rows = f_seen[:n].tolist()  # f_rows[row] is f_seen[row] as floats
+    z = f_seen[pop].min(axis=0).tolist()
     while state.remaining > 0:
         for i in range(n):
             if state.remaining == 0:
@@ -520,14 +547,18 @@ def run_moead(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
                 pool = everyone
             p1, p2 = rng.choice(pool, size=2, replace=False).tolist()
             c1, _ = sbx_crossover(x[pop[p1]], x[pop[p2]], SBX_ETA, SBX_PROB, rng)
-            (child,) = state.evaluate(_mutate(c1, rng)[np.newaxis])
-            f_child = f_seen[child]
-            np.minimum(z, f_child, out=z)
+            (child,) = state.evaluate(_mutate(c1, rng)[np.newaxis]).tolist()
+            f_child = f_seen[child].tolist()
+            f_rows.append(f_child)
+            z = [a if a <= b else b for a, b in zip(z, f_child)]  # np.minimum
             # each neighbour is tested once against its own incumbent, so
             # testing them together equals replacing one at a time
-            nb, lam = neighborhoods[i], nb_weights[i]
-            better = tchebycheff(f_child, lam, z) < tchebycheff(f_seen[pop[nb]], lam, z)
-            pop[nb[better]] = child
+            nb, lam = nb_rows[i], nb_weights[i]
+            g_child = tchebycheff([f_child] * len(nb), lam, z)
+            g_kept = tchebycheff([f_rows[pop[j]] for j in nb], lam, z)
+            for j, better, kept in zip(nb, g_child, g_kept):
+                if better < kept:
+                    pop[j] = child
     return state.result(pop)
 
 

@@ -1,9 +1,9 @@
 """Pareto archiving, exact bi-objective hypervolume, and density diagnostics.
 
 The archive keeps every non-dominated original-space objective vector seen
-during a run (no capacity bound) together with the evaluation index of its
-first attainment; `accepted_history` feeds it a run's f_orig column and is
-the one source of the points it accepts. Hypervolume is the exact 2-D
+during a run (no capacity bound); `accepted_history` feeds it a run's f_orig
+column and is the one source of the points it accepts, with the evaluation
+index of each. Hypervolume is the exact 2-D
 sweep; normalization maps pooled objective extrema onto the unit box with
 reference point (1, 1), and `normalized_hv_prefixes` scores every prefix a
 run's checkpoints need in one archive pass.
@@ -52,12 +52,11 @@ class ParetoArchive:
     def __init__(self):
         self._f1: list[float] = []
         self._f2: list[float] = []
-        self._idx: list[int] = []
 
     def __len__(self) -> int:
         return len(self._f1)
 
-    def insert(self, f_original, eval_index: int) -> bool:
+    def insert(self, f_original) -> bool:
         """Insert an objective pair; returns True when accepted.
 
         Accepted iff no incumbent dominates (or equals) it; dominated
@@ -74,18 +73,13 @@ class ParetoArchive:
         j = pos
         while j < len(self._f1) and self._f2[j] >= f2:
             j += 1
-        del self._f1[pos:j], self._f2[pos:j], self._idx[pos:j]
+        del self._f1[pos:j], self._f2[pos:j]
         self._f1.insert(pos, f1)
         self._f2.insert(pos, f2)
-        self._idx.insert(pos, eval_index)
         return True
 
     def points(self) -> list[tuple[float, float]]:
         return list(zip(self._f1, self._f2))
-
-    def entries(self) -> list[tuple[float, float, int]]:
-        """(f1, f2, eval_index of first attainment) per archive member."""
-        return list(zip(self._f1, self._f2, self._idx))
 
 
 def accepted_history(f_orig) -> list[tuple[int, float, float]]:
@@ -97,7 +91,7 @@ def accepted_history(f_orig) -> list[tuple[int, float, float]]:
     """
     archive = ParetoArchive()
     rows = np.asarray(f_orig, dtype=float).reshape(-1, 2).tolist()
-    return [(i, f1, f2) for i, (f1, f2) in enumerate(rows, 1) if archive.insert((f1, f2), i)]
+    return [(i, f1, f2) for i, (f1, f2) in enumerate(rows, 1) if archive.insert((f1, f2))]
 
 
 def nondominated_rows(points) -> np.ndarray:
@@ -220,7 +214,7 @@ def normalized_hv_prefixes(points, box: NormalizationBox, counts) -> list[float]
             raise ParameterError(f"prefix lengths must ascend, got {list(counts)!r}")
         grew = False
         for f in rows[fed:end]:
-            grew |= archive.insert(f, 0)
+            grew |= archive.insert(f)
         if grew:
             hv = min(1.0, _staircase_area(archive._f1, archive._f2, 1.0, 1.0))
         hvs.append(hv)

@@ -256,6 +256,28 @@ def _betaincinv_scalar(a: float, b: float, q: float) -> float:
         if xn == x:
             return x
         x = xn
+    return _bisect_bracket(a, b, q, lo, hi)
+
+
+def _bisect_bracket(a: float, b: float, q: float, lo: float, hi: float) -> float:
+    """Close a bracket [lo, hi] of I_x = q that _MAX_ITER Newton steps left
+    open, as a tiny q can: a step below x's spacing sends the fallback to the
+    far end of [0, 1], and near 0 the computed I_x is flat over many doubles,
+    which Newton crosses an ulp or two per step. Bisection at the geometric
+    midpoint, while hi > 2 lo, then at the arithmetic one, closes any bracket
+    in about 64 steps and returns the last point, which for alpha < 1 may be
+    an underflowed, subnormal answer."""
+    for _ in range(_MAX_ITER):
+        x = math.sqrt(max(lo, 5e-324)) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+        f = _betainc_scalar(a, b, x) - q
+        if f == 0.0:
+            return x
+        if f > 0.0:
+            hi = x
+        else:
+            lo = x
+        if math.nextafter(lo, 1.0) >= hi:
+            return x
     raise NumericError(f"inverse incomplete beta did not converge for a={a}, b={b}, q={q}")
 
 
@@ -303,7 +325,10 @@ def _betaincinv_array(a: float, b: float, q: np.ndarray) -> np.ndarray:
             out.ravel()[idx[done]] = x[done]
             keep = ~done
             idx, qa, lo, hi, x = idx[keep], qa[keep], lo[keep], hi[keep], x[keep]
-    raise NumericError(f"inverse incomplete beta did not converge for a={a}, b={b}")
+    # lanes still open finish as the scalar kernel does, from the same bracket
+    for k, qk, lo_k, hi_k in zip(idx.tolist(), qa.tolist(), lo.tolist(), hi.tolist()):
+        out.ravel()[k] = _bisect_bracket(a, b, qk, lo_k, hi_k)
+    return out
 
 
 def inv_reg_inc_beta(q, params: ShapeParams):

@@ -16,6 +16,8 @@ from mobench.algorithms import (
     _insert_into_fronts,
     _rank_and_crowding,
     _RunState,
+    _smallest_contributor,
+    _tournament,
     _variation_pair,
     crowding_distance,
     fast_nondominated_sort,
@@ -55,6 +57,27 @@ class _StubRng:
         if size is None:
             return self._scalars.pop(0)
         return np.full(size, self._vector_value)
+
+
+def reference_hv_contributions(front_objectives, ref) -> np.ndarray:
+    """Exclusive hypervolume of each member of a 2-D front in any order, with
+    numpy: a lexsort, shifted copies and clipped box sides."""
+    f = np.asarray(front_objectives, dtype=float)
+    order = np.lexsort((f[:, 1], f[:, 0]))
+    fs = f[order]
+    right_f1 = np.concatenate((fs[1:, 0], [ref[0]]))
+    upper_f2 = np.concatenate(([ref[1]], fs[:-1, 1]))
+    contrib = np.empty(len(f))
+    contrib[order] = np.maximum(right_f1 - fs[:, 0], 0.0) * np.maximum(upper_f2 - fs[:, 1], 0.0)
+    return contrib
+
+
+def reference_tchebycheff(f, lam, z) -> np.ndarray:
+    """max_i lam_i |f_i - z_i| with numpy; f and lam may be pairs or (k, 2)
+    rows, which broadcast against each other."""
+    f = np.asarray(f, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    return np.maximum(lam[..., 0] * np.abs(f[..., 0] - z[0]), lam[..., 1] * np.abs(f[..., 1] - z[1]))
 
 
 def make_instance(problem=("zdt", 1, 2), search=None, objective=None):
@@ -263,6 +286,55 @@ class TestRanking:
                 upper = front[by_f1[k - 1], 1] if k > 0 else ref[1]
                 expected[i] = (right - front[i, 0]) * (upper - front[i, 1])
             np.testing.assert_array_equal(hv_contributions_2d(front, ref), expected)
+            assert hv_contributions_2d(front, ref) == reference_hv_contributions(front, ref).tolist()
+
+    def test_smallest_contributor_matches_numpy_argmin(self):
+        # fronts of 2-101 members on a coarse grid, so exact duplicates and
+        # equal contributions occur, and a few with -0.0 next to 0.0
+        rng = np.random.default_rng(23)
+        ties = 0
+        for trial in range(600):
+            n = int(rng.integers(2, 102))
+            steps = int(rng.integers(2, 40))
+            f1 = np.sort(rng.integers(0, steps, n)) / steps
+            f2 = 1.0 - f1 if trial % 2 else (1.0 - f1) ** 2
+            pts = np.column_stack([f1, f2])
+            if trial % 5 == 0:
+                pts[pts == 0.0] = rng.choice([0.0, -0.0], int((pts == 0.0).sum()))
+            rows = rng.permutation(1000)[:n]
+            keys = sorted((a, b, int(r)) for (a, b), r in zip(pts.tolist(), rows))
+            front = np.array([k[:2] for k in keys])
+            want = reference_hv_contributions(front, front.max(axis=0) + 1.0)
+            ties += int((want == want.min()).sum() > 1)
+            assert _smallest_contributor(keys) == int(np.argmin(want))
+        assert ties > 100  # the first of equal smallest contributions is dropped
+
+
+class _Recorder(dict):
+    """A rank or crowding table that notes each row looked up; all values 0."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def __getitem__(self, row):
+        self.seen.append(row)
+        return 0
+
+
+@pytest.mark.parametrize("n", [2, 10, 100, 101, 2**31 + 1])
+def test_tournament_draws_equal_one_array_draw(n):
+    # two scalar draws equal integers(0, n, size=2), with uniform draws in
+    # between; at n = 2**31 + 1 about half the 32-bit draws are rejected
+    pop = range(7, 7 + n)  # row pop[i] is 7 + i
+    for seed in range(300):
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            rank = _Recorder()
+            _tournament(pop, rank, _Recorder(), got)
+            assert [row - 7 for row in rank.seen] == want.integers(0, n, size=2).tolist()
+            assert got.random() == want.random()
+        assert got.bit_generator.state == want.bit_generator.state
 
 
 def _reference_smsemoa(inst, cfg):
@@ -287,7 +359,7 @@ def _reference_smsemoa(inst, cfg):
         removed = worst[0]
         if len(worst) > 1:
             front = objs[worst]
-            removed = worst[int(np.argmin(hv_contributions_2d(front, front.max(axis=0) + 1.0)))]
+            removed = worst[int(np.argmin(reference_hv_contributions(front, front.max(axis=0) + 1.0)))]
         else:
             removed_alone += removed == n
         pop = np.delete(pop, removed)
@@ -356,7 +428,8 @@ def _reference_moead(inst, cfg):
             f_child = f_seen[child]
             z = np.minimum(z, f_child)
             nb = neighborhoods[i]
-            better = tchebycheff(f_child, weights[nb], z) < tchebycheff(f_seen[pop[nb]], weights[nb], z)
+            lam = weights[nb]
+            better = reference_tchebycheff(f_child, lam, z) < reference_tchebycheff(f_seen[pop[nb]], lam, z)
             pop[nb[better]] = child
     return state.result(pop)
 
@@ -380,16 +453,19 @@ def test_moead_matches_reference(problem, search, population):
 
 class TestMoeadPieces:
     def test_tchebycheff(self):
-        assert tchebycheff((0.5, 0.5), (1.0, 0.0), (0.0, 0.0)) == 0.5
+        assert tchebycheff([(0.5, 0.5)], [(1.0, 0.0)], (0.0, 0.0)) == [0.5]
 
     def test_tchebycheff_rows(self):
         rng = np.random.default_rng(2)
-        f, lam, z = rng.random((20, 2)), moead_weights(20), rng.random(2) * 0.1
-        got = tchebycheff(f, lam, z)
-        assert got.shape == (20,)
-        for k in range(20):
-            assert got[k] == tchebycheff(f[k], lam[k], z)
-            assert got[k] == max(lam[k, 0] * abs(f[k, 0] - z[0]), lam[k, 1] * abs(f[k, 1] - z[1]))
+        for trial in range(50):
+            # a coarse grid makes equal terms and equal values common
+            f = np.round(rng.random((20, 2)) * 8) / 8
+            lam, z = moead_weights(20), (np.round(rng.random(2) * 8) / 8 - 0.5).tolist()
+            got = tchebycheff(f.tolist(), lam.tolist(), z)
+            want = reference_tchebycheff(f, lam, z)
+            assert np.array(got).tobytes() == want.tobytes()
+            assert got == [max(lk[0] * abs(fk[0] - z[0]), lk[1] * abs(fk[1] - z[1]))
+                           for fk, lk in zip(f.tolist(), lam.tolist())]
 
     def test_weights_pop3(self):
         np.testing.assert_allclose(
@@ -409,11 +485,13 @@ RUNNERS = {
 }
 
 
-def _archive_of(f_orig):
+def _first_attainments(f_orig):
+    """(f1, f2) -> evaluation index of each member of the full log's archive."""
     archive = ParetoArchive()
-    for eval_index, f in enumerate(f_orig.tolist(), 1):
-        archive.insert(f, eval_index)
-    return archive
+    for f in f_orig.tolist():
+        archive.insert(f)
+    accepted = {(f1, f2): i for i, f1, f2 in accepted_history(f_orig)}
+    return {p: accepted[p] for p in archive.points()}
 
 
 @pytest.mark.parametrize("name", sorted(RUNNERS))
@@ -461,7 +539,7 @@ class TestRunContracts:
         res = RUNNERS[name](inst, cfg)
         if name == "random_search":
             # every first attainment of a member of the full log's archive
-            archive_idx = sorted(i for _, _, i in _archive_of(res.f_orig).entries())
+            archive_idx = sorted(_first_attainments(res.f_orig).values())
             assert (res.final_population + 1).tolist() == archive_idx
         else:
             assert len(res.final_population) == 10
@@ -479,7 +557,7 @@ class TestRunContracts:
             for q in [q for q in expected if f[0] <= q[0] and f[1] <= q[1] and q != f]:
                 del expected[q]
             expected[f] = eval_index
-        assert {(f1, f2): i for f1, f2, i in _archive_of(res.f_orig).entries()} == expected
+        assert _first_attainments(res.f_orig) == expected
         front = nondominated_rows(res.f_orig).tolist()
         assert {tuple(res.f_orig[r].tolist()): r + 1 for r in front} == expected
 

@@ -342,7 +342,7 @@ def replayed_checkpoint_hvs(f_orig, population, box):
     hvs = []
     for cut in checkpoint_grid(population, len(f_orig)):
         for eval_index, f in rows:
-            archive.insert(f, eval_index)
+            archive.insert(f)
             if eval_index == cut:
                 break
         hvs.append(normalized_hv(archive.points(), box))

@@ -47,31 +47,41 @@ def brute_force_front(points):
     return front
 
 
+def first_attainments(points, archive):
+    """Each archive member with the evaluation index accepted_history gives it."""
+    accepted = {(f1, f2): i for i, f1, f2 in accepted_history(points)}
+    return {p: accepted[p] for p in archive.points()}
+
+
 class TestArchive:
     def test_insert_into_empty(self):
         a = ParetoArchive()
-        assert a.insert((1.0, 1.0), 1)
+        assert a.insert((1.0, 1.0))
         assert a.points() == [(1.0, 1.0)]
 
     def test_dominated_rejected(self):
         a = ParetoArchive()
-        a.insert((1.0, 1.0), 1)
-        assert not a.insert((2.0, 2.0), 2)
+        a.insert((1.0, 1.0))
+        assert not a.insert((2.0, 2.0))
         assert a.points() == [(1.0, 1.0)]
 
     def test_dominating_removes_both(self):
+        pts = [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0)]
         a = ParetoArchive()
-        a.insert((0.0, 1.0), 1)
-        a.insert((1.0, 0.0), 2)
-        assert a.insert((0.0, 0.0), 3)
+        a.insert(pts[0])
+        a.insert(pts[1])
+        assert a.insert(pts[2])
         assert a.points() == [(0.0, 0.0)]
-        assert a.entries() == [(0.0, 0.0, 3)]
+        assert accepted_history(pts) == [(1, 0.0, 1.0), (2, 1.0, 0.0), (3, 0.0, 0.0)]
+        assert first_attainments(pts, a) == {(0.0, 0.0): 3}
 
     def test_duplicates_not_duplicated(self):
+        pts = [(0.5, 0.5), (0.5, 0.5)]
         a = ParetoArchive()
-        assert a.insert((0.5, 0.5), 1)
-        assert not a.insert((0.5, 0.5), 2)
-        assert a.entries() == [(0.5, 0.5, 1)]
+        assert a.insert(pts[0])
+        assert not a.insert(pts[1])
+        assert a.points() == [(0.5, 0.5)]
+        assert accepted_history(pts) == [(1, 0.5, 0.5)]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
@@ -79,15 +89,15 @@ class TestArchive:
             # quantized coordinates force duplicates and ties
             pts = np.round(rng.random((300, 2)) * 20) / 20
             a = ParetoArchive()
-            for i, p in enumerate(pts, start=1):
-                a.insert(p, i)
+            for p in pts:
+                a.insert(p)
             expected = brute_force_front(pts)
-            assert dict(((f1, f2), i) for f1, f2, i in a.entries()) == expected
+            assert first_attainments(pts, a) == expected
 
     def test_non_finite_rejected(self):
         a = ParetoArchive()
         with pytest.raises(NumericError):
-            a.insert((float("nan"), 1.0), 1)
+            a.insert((float("nan"), 1.0))
 
     def test_history_replay(self):
         rng = np.random.default_rng(5)
@@ -196,7 +206,7 @@ class TestNormalization:
             archive = ParetoArchive()
             for front in fronts:
                 for f in front:
-                    archive.insert(f, 0)
+                    archive.insert(f)
             pts = np.asarray(archive.points())
             ideal, nadir = tuple(pts.min(axis=0).tolist()), tuple(pts.max(axis=0).tolist())
             if ideal[0] < nadir[0] and ideal[1] < nadir[1]:

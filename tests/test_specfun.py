@@ -226,6 +226,23 @@ class TestInverse:
             singles = np.array([inv_reg_inc_beta(float(q), p) for q in qs])
             np.testing.assert_array_equal(batch, singles)
 
+    def test_tiny_q_on_the_grid(self):
+        # q = 10^-U(1, 300): the answer can be subnormal when alpha < 1, and
+        # Newton steps alone leave some brackets open after _MAX_ITER steps
+        rng = np.random.default_rng(53)
+        for a in GRID:
+            for b in GRID:
+                q = 10.0 ** -rng.uniform(1.0, 300.0, 200)
+                want = np.array([_betaincinv_scalar(a, b, v) for v in q.tolist()])
+                assert _betaincinv_array(a, b, q).tobytes() == want.tobytes(), (a, b)
+                assert np.all((want >= 0.0) & (want < 1.0))
+        for a, b, q in [(0.2, 0.5, 3.03e-65), (1.0, 0.2, 1.4780097655371344e-251),
+                        (5.0, 0.2, 1.389293456520836e-202)]:
+            x = inv_reg_inc_beta(q, ShapeParams(a, b))
+            below, above = math.nextafter(x, 0.0), math.nextafter(x, 1.0)
+            assert _betainc_scalar(a, b, below) <= q <= _betainc_scalar(a, b, above), (a, b)
+        assert inv_reg_inc_beta(3.03e-65, ShapeParams(0.2, 0.5)) < 2.2250738585072014e-308
+
     def test_domain_errors(self):
         p = ShapeParams(2, 2)
         with pytest.raises(DomainError):

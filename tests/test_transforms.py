@@ -20,8 +20,13 @@ from mobench.transforms import (
     apply_forward,
     apply_inverse,
     _ACCUMULATE_ROWS,
+    _ROW_MAX_DIM,
+    _clamp_unit,
+    _rotate,
+    _rotate_row,
     random_rotation,
     rotation_matrix_2d,
+    transform_batch,
 )
 
 GRID = [0.2, 0.5, 1.0, 2.0, 5.0]
@@ -196,6 +201,22 @@ class TestRotationStructure:
         alone = np.array([apply(t, p) for p in pts])
         for n in (_ACCUMULATE_ROWS, _ACCUMULATE_ROWS + 1, len(pts)):
             assert apply(t, pts[:n]).tobytes() == alone[:n].tobytes(), n
+
+    @pytest.mark.parametrize("dim", range(2, _ROW_MAX_DIM + 1))
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_one_row_on_python_floats_equals_rotate(self, dim, inverse):
+        rng = np.random.default_rng(40 + dim)
+        pts = rng.random((400, dim))
+        special = rng.random(pts.shape) < 0.2
+        pts[special] = rng.choice([0.0, -0.0, 0.5, 1.0], int(special.sum()))
+        pts[0] = 0.5  # the centre, which the rotation fixes
+        t = TransformSpec.sphered_rotation(dim=dim, seed=8)
+        m = t.rotation.entries.T if inverse else t.rotation.entries
+        for p in pts:
+            want = _rotate(p[np.newaxis], m)
+            assert np.array([_rotate_row(p.tolist(), m.tolist())]).tobytes() == want.tobytes()
+            got = transform_batch(t, p[np.newaxis], inverse)
+            assert got.tobytes() == _clamp_unit(want).tobytes()
 
 
 class TestRandomRotation:
