@@ -1,23 +1,30 @@
-"""Time the parts of a steady-state step and the runs that repeat it.
+"""Time the parts of a steady-state step and of an NSGA-II generation, and
+the runs that repeat them.
 
 SMS-EMOA and MOEA/D evaluate one point per step, so numpy's per-call cost
-on one-row arrays shapes their run time. This script times, best of
---repeats:
+on one-row arrays shapes their run time; NSGA-II breeds a generation at a
+time. This script times, best of --repeats:
 
 - `evaluate_instance_batch` on one row: the identity (dtlz1-d2) and the
   sphered rotation at d=2 (zdt3-d2) and d=10 (zdt3-d10);
 - one binary tournament (`_tournament`) over 100 rows;
 - one SMS-EMOA drop, the first smallest hypervolume contributor of a
   front of 11 and of 101 members;
+- one NSGA-II generation's variation (`nsga2_offspring`, or the pair by
+  pair loop of a tree without it) at populations 10 and 100, d = 2 and 10;
 - the 16 runs of perfbench's steady-state-ranking workload (dtlz1-d2 and
   zdt3-d2; the identity and rotation seed 1; SMS-EMOA and MOEA/D at
-  populations 10 and 100; budget 1000), one after another.
+  populations 10 and 100; budget 1000), one after another;
+- the 36 runs of perfbench's warp-generational workload (dtlz1-d2 and
+  zdt3-d2; the identity, the Beta search grid and the Beta objective grid
+  over {0.5, 2}; NSGA-II at populations 10 and 100; budget 1000).
 
 With --other, it also imports the mobench package of a second source tree
 under the name `mobench_other`, runs every case on both trees, alternating
 which goes first, and asserts that both give the same bits: the evaluated
 objectives, the tournament winners and the generator state after them, the
-drops, and every run's x, f_seen, f_orig and final population. Prints JSON.
+drops, the children of 20 generations and the generator state after them,
+and every run's x, f_seen, f_orig and final population. Prints JSON.
 
     PYTHONPATH=src python3 bench/steady_step.py --repeats 5
     PYTHONPATH=src python3 bench/steady_step.py --repeats 5 --other ../other-checkout
@@ -36,13 +43,24 @@ from pathlib import Path
 
 import numpy as np
 
-RUN_CONFIG = {
-    "problems": ["dtlz1-d2", "zdt3-d2"],
-    "search_transforms": [{"kind": "identity"}, {"kind": "sphered_rotation", "seed": 1}],
-    "algorithms": [{"name": name, "population": pop}
-                   for name in ("smsemoa", "moead") for pop in (10, 100)],
-    "budget": 1000,
-    "repetitions": 1,
+BETA_GRID = {"kind": "beta_cdf_grid", "values": [0.5, 2.0]}
+RUN_CONFIGS = {  # perfbench's workloads, by name: (config, number of runs)
+    "steady_state_ranking": ({
+        "problems": ["dtlz1-d2", "zdt3-d2"],
+        "search_transforms": [{"kind": "identity"}, {"kind": "sphered_rotation", "seed": 1}],
+        "algorithms": [{"name": name, "population": pop}
+                       for name in ("smsemoa", "moead") for pop in (10, 100)],
+        "budget": 1000,
+        "repetitions": 1,
+    }, 16),
+    "warp_generational": ({
+        "problems": ["dtlz1-d2", "zdt3-d2"],
+        "search_transforms": [{"kind": "identity"}, BETA_GRID],
+        "objective_transforms": [BETA_GRID],
+        "algorithms": [{"name": "nsga2", "population": pop} for pop in (10, 100)],
+        "budget": 1000,
+        "repetitions": 1,
+    }, 36),
 }
 
 
@@ -135,6 +153,39 @@ def step_cases(tree: Tree, seed: int):
     return out
 
 
+def generation_cases(tree: Tree, seed: int):
+    """One NSGA-II generation's variation on random parents, by population
+    and dimension; the check breeds 20 generations."""
+    alg, out = tree.alg, {}
+    for n in (10, 100):
+        for d in (2, 10):
+            rng = np.random.default_rng(seed + n + d)
+            x = rng.random((n, d))
+            rank = rng.integers(0, 3, n)
+            crowd = np.where(rng.random(n) < 0.2, np.inf, rng.random(n))
+            if hasattr(alg, "nsga2_offspring"):
+                def breed(draw, x=x, rank=rank, crowd=crowd, n=n):
+                    return alg.nsga2_offspring(x, rank, crowd, n, draw)
+            else:  # the pair by pair loop that nsga2_offspring replaced
+                rows = list(range(n))
+                by_row = dict(enumerate(rank.tolist())), dict(enumerate(crowd.tolist()))
+
+                def breed(draw, x=x, rows=rows, by_row=by_row, n=n):
+                    children = []
+                    while len(children) < n:
+                        c1, c2 = alg._variation_pair(x, rows, *by_row, draw)
+                        children += (alg._mutate(c1, draw), alg._mutate(c2, draw))
+                    return np.array(children[:n])
+
+            def children(breed=breed):
+                draw = np.random.default_rng(seed)
+                blob = b"".join(breed(draw).tobytes() for _ in range(20))
+                return blob + json.dumps(draw.bit_generator.state).encode()
+            out[f"nsga2_generation.p{n}.d{d}"] = (
+                lambda breed=breed, draw=np.random.default_rng(seed): breed(draw), children)
+    return out
+
+
 def best_us(fn, number: int) -> float:
     start = time.perf_counter()
     for _ in range(number):
@@ -142,8 +193,8 @@ def best_us(fn, number: int) -> float:
     return (time.perf_counter() - start) / number * 1e6
 
 
-def run_jobs(tree: Tree, base_seed: int):
-    cfg = tree.harness.ExperimentConfig.from_dict({**RUN_CONFIG, "base_seed": base_seed})
+def run_jobs(tree: Tree, config: dict, base_seed: int):
+    cfg = tree.harness.ExperimentConfig.from_dict({**config, "base_seed": base_seed})
     return tree.harness.expand_matrix(cfg)
 
 
@@ -162,7 +213,8 @@ def time_runs(tree: Tree, jobs) -> tuple[dict, bytes]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--number", type=int, default=2000, help="calls per timing of a case")
+    parser.add_argument("--number", type=int, default=2000,
+                        help="calls per timing of a case; a generation case makes a twentieth")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--run-seed", type=int, default=1, help="perfbench's base seed")
     parser.add_argument("--other", help="root of a second source checkout to compare with")
@@ -174,29 +226,34 @@ def main() -> None:
     rows = np.random.default_rng(args.seed).random((200, 10))
     rows[rows < 0.05] = 0.0
     rows[rows > 0.95] = 1.0
-    cases = {name: {**one_row_cases(t, rows), **step_cases(t, args.seed)}
+    cases = {name: {**one_row_cases(t, rows), **step_cases(t, args.seed),
+                    **generation_cases(t, args.seed)}
              for name, t in trees.items()}
-    jobs = {name: run_jobs(t, args.run_seed) for name, t in trees.items()}
-    assert len({len(j) for j in jobs.values()}) == 1 and len(jobs["this"]) == 16
+    jobs = {workload: {name: run_jobs(t, config, args.run_seed) for name, t in trees.items()}
+            for workload, (config, _) in RUN_CONFIGS.items()}
+    for workload, (_, count) in RUN_CONFIGS.items():
+        assert {len(j) for j in jobs[workload].values()} == {count}, workload
 
     names = list(trees)
     for case in cases["this"]:  # every tree gives the same bits
         outputs = {name: cases[name][case][1]() for name in names}
         assert len(set(outputs.values())) == 1, case
     best = {case: {name: float("inf") for name in names} for case in cases["this"]}
-    runs = {name: {} for name in names}
-    run_bits = {}
+    runs = {workload: {name: {} for name in names} for workload in RUN_CONFIGS}
     for r in range(args.repeats):
         order = names if r % 2 == 0 else names[::-1]
         for case in best:
+            number = args.number // 20 if case.startswith("nsga2_generation") else args.number
             for name in order:
-                us = best_us(cases[name][case][0], args.number)
+                us = best_us(cases[name][case][0], max(number, 1))
                 best[case][name] = min(best[case][name], us)
-        for name in order:
-            seconds, run_bits[name] = time_runs(trees[name], jobs[name])
-            for key, s in seconds.items():
-                runs[name][key] = min(runs[name].get(key, float("inf")), s)
-        assert len(set(run_bits.values())) == 1, "the steady-state-ranking runs differ"
+        for workload in RUN_CONFIGS:
+            run_bits = {}
+            for name in order:
+                seconds, run_bits[name] = time_runs(trees[name], jobs[workload][name])
+                for key, s in seconds.items():
+                    runs[workload][name][key] = min(runs[workload][name].get(key, float("inf")), s)
+            assert len(set(run_bits.values())) == 1, f"the {workload} runs differ"
 
     def row(values: dict, unit: str) -> dict:
         out = {f"{name}_{unit}": round(v, 3) for name, v in values.items()}
@@ -204,18 +261,19 @@ def main() -> None:
             out["this_over_other"] = round(values["this"] / values["other"], 3)
         return out
 
-    for name in names:  # the sum of each group's best
-        runs[name]["all_16"] = sum(runs[name].values())
+    for workload, (_, count) in RUN_CONFIGS.items():
+        for name in names:  # the sum of each group's best
+            runs[workload][name][f"all_{count}"] = sum(runs[workload][name].values())
     print(json.dumps({
         "machine": {"python": platform.python_version(), "numpy": np.__version__},
         "repeats": args.repeats,
         "number": args.number,
         "bits_checked_equal_to_other": "other" in trees,
         "cases_us_per_call": {case: row(v, "us") for case, v in best.items()},
-        "steady_state_ranking_runs_s": {
-            key: row({name: runs[name][key] for name in names}, "s") for key in runs["this"]},
+        **{f"{workload}_runs_s": {
+            key: row({name: runs[workload][name][key] for name in names}, "s")
+            for key in runs[workload]["this"]} for workload in RUN_CONFIGS},
     }, indent=1))
-
 
 if __name__ == "__main__":
     main()

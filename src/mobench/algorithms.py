@@ -7,6 +7,14 @@ the harness derives it from the original-space column (f_orig). Each run
 owns a single seeded generator; operator draw order is documented on the
 operators, so a run is a pure function of (instance, AlgoConfig).
 
+NSGA-II breeds each generation in one nsga2_offspring call: first every
+pair's draws, in the order the pair-by-pair operators draw them, then the
+tournaments, SBX and mutation as array arithmetic on the whole generation.
+An array draw takes the same values from the stream as that many scalar
+draws, and numpy's ** gives the same bits at every array length, so the
+generation equals the operators' pair-by-pair children bit for bit.
+SMS-EMOA and MOEA/D breed one child per step with the operators.
+
 Variation defaults follow the usual framework settings: SBX with eta=15 and
 crossover probability 0.9, polynomial mutation with eta=20 and per-variable
 probability 1/d.
@@ -35,6 +43,7 @@ __all__ = [
     "run_moead",
     "sbx_crossover",
     "polynomial_mutation",
+    "nsga2_offspring",
     "fast_nondominated_sort",
     "crowding_distance",
     "nsga2_survival",
@@ -125,7 +134,9 @@ class _RunState:
 # The operators do their arithmetic on Python floats, which round exactly like
 # numpy's elementwise ufuncs and cost far less per call on d-vectors. Powers
 # stay numpy array powers: numpy's float64 pow may differ from libm's in the
-# last bit, and the draws and results must not change.
+# last bit, and the draws and results must not change. numpy's ** gives the
+# same bits at every array length, so nsga2_offspring may raise a whole
+# generation's values at once.
 
 
 def _pow(values: list[float], exponent: float) -> list[float]:
@@ -183,6 +194,65 @@ def polynomial_mutation(p, eta_m: float, p_m: float, rng) -> np.ndarray:
     return np.array(xs)
 
 
+def _clip_unit_array(v: np.ndarray) -> np.ndarray:
+    """_clip_unit elementwise."""
+    return np.where(v <= 0.0, 0.0, np.where(v >= 1.0, 1.0, v))
+
+
+def nsga2_offspring(x, rank, crowd, n: int, rng) -> np.ndarray:
+    """n children of one NSGA-II generation, bred from the parents x.
+
+    x holds the parents by position, rank and crowd their front indices and
+    crowding distances. Each pair of children comes from two binary
+    tournaments, SBX and polynomial mutation of both children, at the
+    module's settings; an odd n breeds a last pair and drops its second
+    child.
+
+    Draw order, pair by pair: integers(0, len(x), size=4), the two
+    tournaments' contestants; the SBX gate random(); random(d) when the
+    gate passes; random(4d), the first child's mutation gate and delta
+    vectors, then the second child's. This is the stream, and the children
+    are the bits, of _tournament, sbx_crossover and polynomial_mutation
+    called pair by pair (see the module docstring).
+    """
+    m, d = x.shape
+    pairs = -(-n // 2)
+    contestants = np.empty((pairs, 4), dtype=np.intp)
+    crossed = np.zeros(pairs, dtype=bool)
+    u = np.full((pairs, d), 0.5)  # 0.5 keeps the unused rows finite
+    draws = np.empty((pairs, 4 * d))
+    for k in range(pairs):
+        contestants[k] = rng.integers(0, m, size=4)
+        if rng.random() < SBX_PROB:
+            crossed[k] = True
+            rng.random(out=u[k])
+        rng.random(out=draws[k])
+
+    # binary tournaments: lower rank wins, then larger crowding, else the first
+    a, b = contestants[:, 0::2], contestants[:, 1::2]
+    ca, cb = crowd[a], crowd[b]
+    b_wins = np.where(rank[a] != rank[b], rank[a] > rank[b], (ca != cb) & ~(ca > cb))
+    parents = x[np.where(b_wins, b, a)]  # (pairs, 2, d)
+
+    # SBX, each child from its own parent and the other one (IEEE addition
+    # commutes); a pair whose gate failed passes its parents through
+    spread = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u)))
+    beta = (spread ** (1.0 / (SBX_ETA + 1.0)))[:, np.newaxis]
+    crossed_children = _clip_unit_array(0.5 * ((1.0 + beta) * parents + (1.0 - beta) * parents[:, ::-1]))
+    children = np.where(crossed[:, np.newaxis, np.newaxis], crossed_children, parents).reshape(2 * pairs, d)
+
+    # polynomial mutation of the coordinates whose gate passes
+    draws = draws.reshape(2 * pairs, 2, d)
+    mutated = draws[:, 0] < 1.0 / d
+    xs, us = children[mutated], draws[:, 1][mutated]
+    low = us < 0.5  # towards the lower bound for u < 0.5, upper bound otherwise
+    t = np.where(low, 1.0 - xs, xs) ** (MUTATION_ETA + 1.0)
+    val = np.where(low, 2.0 * us + (1.0 - 2.0 * us) * t, 2.0 * (1.0 - us) + 2.0 * (us - 0.5) * t)
+    v = val ** (1.0 / (MUTATION_ETA + 1.0))
+    children[mutated] = _clip_unit_array(xs + np.where(low, v - 1.0, 1.0 - v))
+    return children[:n]
+
+
 # --- ranking helpers -------------------------------------------------------
 
 
@@ -232,18 +302,6 @@ def crowding_distance(front_objectives) -> np.ndarray:
         if span > 0.0 and n > 2:
             dist[order[1:-1]] += (fm[2:] - fm[:-2]) / span
     return dist
-
-
-def _rank_and_crowding(f: np.ndarray, rows) -> tuple[dict, dict]:
-    """Front index and crowding distance of each row of f, keyed by row."""
-    objs = f[rows]
-    rank: dict[int, int] = {}
-    crowd: dict[int, float] = {}
-    for r, front in enumerate(fast_nondominated_sort(objs)):
-        members = [rows[i] for i in front]
-        rank.update(dict.fromkeys(members, r))
-        crowd.update(zip(members, crowding_distance(objs[front]).tolist()))
-    return rank, crowd
 
 
 def nsga2_survival(objectives, capacity: int) -> list[int]:
@@ -450,7 +508,8 @@ def _mutate(c, rng) -> np.ndarray:
 def run_nsga2(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
     """Generational NSGA-II with binary tournaments on (rank, crowding).
 
-    A final generation that does not fit into the budget is evaluated and
+    Each generation's children come from one nsga2_offspring call. A
+    final generation that does not fit into the budget is evaluated and
     logged (truncated) but skips environmental selection, so the final
     population is the last complete survivor set.
     """
@@ -458,15 +517,15 @@ def run_nsga2(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
     state = _RunState(inst, cfg.budget)
     n = cfg.population
     pop = state.evaluate(rng.random((n, inst.problem.dim)))
+    rank, crowd = np.empty(n, dtype=int), np.empty(n)  # by position in pop
     while state.remaining > 0:
-        rows = pop.tolist()
-        rank, crowd = _rank_and_crowding(state.f_seen, rows)
-        children: list[np.ndarray] = []
-        while len(children) < n:
-            c1, c2 = _variation_pair(state.x, rows, rank, crowd, rng)
-            children += (_mutate(c1, rng), _mutate(c2, rng))
+        objs = state.f_seen[pop]
+        for r, front in enumerate(fast_nondominated_sort(objs)):
+            rank[front] = r
+            crowd[front] = crowding_distance(objs[front])
+        children = nsga2_offspring(state.x[pop], rank, crowd, n, rng)
         full_generation = state.remaining >= n
-        offspring = state.evaluate(np.array(children[: min(n, state.remaining)]))
+        offspring = state.evaluate(children[: state.remaining])
         if not full_generation:
             break
         union = np.concatenate([pop, offspring])

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -267,10 +266,17 @@ def _run_id(job: Job) -> str:
 
 def _write_raw_log(result: RunResult, path: Path) -> None:
     # line format: eval_index,x_seen...,f_seen1,f_seen2,f_orig1,f_orig2
-    columns = np.hstack([result.x, result.f_seen, result.f_orig]).tolist()
     with path.open("w", encoding="utf-8") as fh:
-        for eval_index, row in enumerate(columns, 1):
-            fh.write(f"{eval_index},{','.join(map(repr, row))}\n")
+        if result.f_seen.tobytes() != result.f_orig.tobytes():
+            columns = np.hstack([result.x, result.f_seen, result.f_orig]).tolist()
+            for eval_index, row in enumerate(columns, 1):
+                fh.write(f"{eval_index},{','.join(map(repr, row))}\n")
+            return
+        # equal bits give equal text, as in every run without an objective
+        # warp: format the objectives once and write them twice
+        for eval_index, row in enumerate(np.hstack([result.x, result.f_seen]).tolist(), 1):
+            f = f"{row[-2]!r},{row[-1]!r}"
+            fh.write(f"{eval_index},{','.join(map(repr, row[:-2]))},{f},{f}\n")
 
 
 def _execute_job(job: Job, output_dir: str | None) -> RunSummary:
@@ -318,6 +324,9 @@ def execute(jobs: Sequence[Job], parallelism: int = 1, output_dir: str | None = 
         (Path(output_dir) / "runs").mkdir(parents=True, exist_ok=True)
     if parallelism == 1 or len(jobs) <= 1:
         return [_execute_job(job, output_dir) for job in jobs]
+    # a serial run needs no pool, and importing it adds about 15 ms to a launch
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(_execute_job, jobs, [output_dir] * len(jobs), chunksize=1))
 

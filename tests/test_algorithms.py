@@ -14,7 +14,7 @@ from mobench.algorithms import (
     AlgoConfig,
     _FrontCrowding,
     _insert_into_fronts,
-    _rank_and_crowding,
+    _pow,
     _RunState,
     _smallest_contributor,
     _tournament,
@@ -23,6 +23,7 @@ from mobench.algorithms import (
     fast_nondominated_sort,
     hv_contributions_2d,
     moead_weights,
+    nsga2_offspring,
     nsga2_survival,
     polynomial_mutation,
     run_moead,
@@ -335,6 +336,151 @@ def test_tournament_draws_equal_one_array_draw(n):
             assert [row - 7 for row in rank.seen] == want.integers(0, n, size=2).tolist()
             assert got.random() == want.random()
         assert got.bit_generator.state == want.bit_generator.state
+
+
+def _rank_and_crowding(f: np.ndarray, rows) -> tuple[dict, dict]:
+    """Front index and crowding distance of each row of f, keyed by row."""
+    objs = f[rows]
+    rank: dict[int, int] = {}
+    crowd: dict[int, float] = {}
+    for r, front in enumerate(fast_nondominated_sort(objs)):
+        members = [rows[i] for i in front]
+        rank.update(dict.fromkeys(members, r))
+        crowd.update(zip(members, crowding_distance(objs[front]).tolist()))
+    return rank, crowd
+
+
+def _reference_offspring(x, rows, rank, crowd, n, rng) -> np.ndarray:
+    """NSGA-II's children bred pair by pair: two _tournament calls, one
+    sbx_crossover and two polynomial_mutation calls per pair."""
+    children: list[np.ndarray] = []
+    while len(children) < n:
+        c1, c2 = _variation_pair(x, rows, rank, crowd, rng)
+        children += (
+            polynomial_mutation(c1, MUTATION_ETA, 1.0 / len(c1), rng),
+            polynomial_mutation(c2, MUTATION_ETA, 1.0 / len(c2), rng),
+        )
+    return np.array(children[:n])
+
+
+def _reference_nsga2(inst, cfg):
+    """NSGA-II with rank and crowding keyed by row and children bred pair by
+    pair; returns the run and its generator."""
+    rng = np.random.default_rng(cfg.seed)
+    state = _RunState(inst, cfg.budget)
+    n = cfg.population
+    pop = state.evaluate(rng.random((n, inst.problem.dim)))
+    while state.remaining > 0:
+        rows = pop.tolist()
+        rank, crowd = _rank_and_crowding(state.f_seen, rows)
+        children = _reference_offspring(state.x, rows, rank, crowd, n, rng)
+        full_generation = state.remaining >= n
+        offspring = state.evaluate(children[: state.remaining])
+        if not full_generation:
+            break
+        union = np.concatenate([pop, offspring])
+        pop = union[nsga2_survival(state.f_seen[union], n)]
+    return state.result(pop), rng
+
+
+def _run_keeping_generator(run, inst, cfg, monkeypatch):
+    """run(inst, cfg) and the generator it made."""
+    made, default_rng = [], np.random.default_rng
+
+    def recording_default_rng(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", recording_default_rng)
+        result = run(inst, cfg)
+    (rng,) = made
+    return result, rng
+
+
+@pytest.mark.parametrize("population", [2, 3, 10, 11, 100])
+@pytest.mark.parametrize("d", [2, 10])
+@pytest.mark.parametrize("search", ["identity", "beta", "rotation"])
+def test_nsga2_matches_pair_by_pair_reference(population, d, search, monkeypatch):
+    search = {
+        "identity": TransformSpec.identity(),
+        "beta": TransformSpec.beta_cdf(0.5, 2.0),
+        "rotation": TransformSpec.sphered_rotation(dim=d, seed=3),
+    }[search]
+    inst = make_instance(problem=("zdt", 3, d), search=search)
+    # budgets that end on a whole generation and ones that cut the last short
+    for budget in (population * 6, population * 6 + 1, population * 5 + (population + 1) // 2):
+        cfg = AlgoConfig("nsga2", population, budget, seed=budget)
+        got, got_rng = _run_keeping_generator(run_nsga2, inst, cfg, monkeypatch)
+        want, want_rng = _reference_nsga2(inst, cfg)
+        for column in ("x", "f_seen", "f_orig", "final_population"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 11, 100])
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_offspring_match_pair_by_pair_with_ties(n, d):
+    # duplicate-heavy parents: ranks in {0, 1}, crowding on a coarse grid with
+    # inf and NaN, coordinates at 0, 1 and a few shared values, so tournaments
+    # tie on rank and on crowding and SBX and mutation meet the bounds; SBX
+    # turns a -0.0 coordinate into 0.0, so a parent passed through shows
+    rng = np.random.default_rng(n * 100 + d)
+    for trial in range(30):
+        x = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0, rng.random()], size=(n, d))
+        rank = rng.integers(0, 2, n)
+        crowd = rng.choice([0.0, 0.5, 1.0, np.inf, np.nan if trial % 3 == 0 else 2.0], size=n)
+        rows = (np.arange(n) + 5).tolist()  # row rows[i] sits at position i
+        full_x = np.concatenate([np.full((5, d), np.nan), x])
+        got_rng, want_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+        for m in (n, n - 1, 1):  # fewer children than parents too
+            got = nsga2_offspring(x, rank, crowd, m, got_rng)
+            want = _reference_offspring(
+                full_x, rows, dict(zip(rows, rank.tolist())), dict(zip(rows, crowd.tolist())), m, want_rng
+            )
+            assert got.tobytes() == want.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("high", [2, 3, 10, 100, 101, 2**31 + 1, 2**32 - 1])
+def test_integers_array_draw_equals_scalar_draws(high):
+    # one integers(size=4) call equals four scalar calls, with doubles drawn
+    # in between; at 2**31 + 1 about half the 32-bit draws are rejected
+    for seed in range(300):
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for step in range(20):
+            assert got.integers(0, high, size=4).tolist() == [int(want.integers(0, high)) for _ in range(4)]
+            if step % 2:
+                assert got.random() == want.random()
+            else:
+                assert got.random(3).tolist() == want.random(3).tolist()
+        assert got.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_random_vector_draw_equals_shorter_draws(d):
+    # random(4d) gives the doubles of four random(d) calls, in their order
+    for seed in range(300):
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            got.integers(0, 7)
+            want.integers(0, 7)
+            whole = got.random(4 * d)
+            assert whole.tobytes() == b"".join(want.random(d).tobytes() for _ in range(4))
+        assert got.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("exponent", [1.0 / (SBX_ETA + 1.0), MUTATION_ETA + 1.0, 1.0 / (MUTATION_ETA + 1.0)])
+def test_pow_is_independent_of_array_length(exponent):
+    # the operators' powers and the generation kernel's may split the same
+    # values differently: one array, 2-D blocks, pairs and single values
+    rng = np.random.default_rng(17)
+    values = np.concatenate([rng.random(20_000), 2.0 * rng.random(2_000), [0.0, 0.5, 1.0, 2.0]])
+    whole = np.array(_pow(values.tolist(), exponent))
+    assert (values.reshape(-1, 2) ** exponent).tobytes() == whole.tobytes()
+    assert np.array([_pow(values[k : k + 2].tolist(), exponent) for k in range(0, len(values), 2)]).tobytes() == whole.tobytes()
+    for k in range(0, len(values), 7):
+        assert _pow([values[k]], exponent) == [whole[k]]
 
 
 def _reference_smsemoa(inst, cfg):

@@ -1,17 +1,23 @@
 """Tests for experiment expansion, execution, persistence, and reports."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mobench
 from mobench.cli import main as cli_main
 from mobench.errors import ConfigError, ReportError
 from mobench.harness import (
     RUNS_CSV_COLUMNS,
+    _write_raw_log,
     ExperimentConfig,
     Job,
     RunSummary,
@@ -29,7 +35,7 @@ from mobench.harness import (
     report_relative_hv,
     transform_family,
 )
-from mobench.algorithms import ALGORITHM_NAMES, AlgoConfig, run_algorithm
+from mobench.algorithms import ALGORITHM_NAMES, AlgoConfig, RunResult, run_algorithm
 from mobench.indicators import NormalizationBox, ParetoArchive, accepted_history, normalized_hv
 from mobench.instance import ProblemInstance
 from mobench.problems import ProblemId
@@ -263,6 +269,35 @@ class TestExecute:
         # random search evaluates its whole budget in one draw
         drawn = np.random.default_rng(jobs[0].algo.seed).random((12, 2))
         np.testing.assert_array_equal(table[:, 1:3], drawn)
+
+    @pytest.mark.parametrize("objectives", ["equal", "unequal", "signed_zeros"])
+    @pytest.mark.parametrize("d", [2, 10])
+    def test_raw_log_matches_plain_writer(self, tmp_path, objectives, d):
+        rng = np.random.default_rng(d)
+        x = rng.random((300, d))
+        x[::7, 0] = 0.0
+        f_seen = np.round(rng.random((300, 2)) * 4) / 4  # has 0.0 in both columns
+        f_orig = {
+            "equal": f_seen.copy(),
+            "unequal": f_seen ** 2,
+            "signed_zeros": np.where(f_seen == 0.0, -0.0, f_seen),  # equal by value only
+        }[objectives]
+        assert (f_seen == f_orig).all() == (objectives != "unequal")
+        _write_raw_log(RunResult(x, f_seen, f_orig, np.arange(3)), tmp_path / "run.log")
+        plain = "".join(
+            f"{i},{','.join(map(repr, row))}\n"
+            for i, row in enumerate(np.hstack([x, f_seen, f_orig]).tolist(), 1)
+        )
+        assert (tmp_path / "run.log").read_text(encoding="utf-8") == plain
+        assert ("-0.0" in plain) == (objectives == "signed_zeros")
+
+    def test_serial_launch_skips_the_process_pool(self):
+        # the pool is imported only when a run asks for more than one worker
+        probe = "import sys, mobench.cli; print('concurrent.futures.process' in sys.modules)"
+        src = str(Path(mobench.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")
