@@ -5,8 +5,10 @@ SMS-EMOA and MOEA/D evaluate one point per step, so numpy's per-call cost
 on one-row arrays shapes their run time; NSGA-II breeds a generation at a
 time. This script times, best of --repeats:
 
-- `evaluate_instance_batch` on one row: the identity (dtlz1-d2) and the
-  sphered rotation at d=2 (zdt3-d2) and d=10 (zdt3-d10);
+- `evaluate_instance_batch` on one row: the identity (dtlz1-d2 and
+  zdt1-d10), the sphered rotation at d=2 (zdt3-d2) and d=10 (zdt3-d10), a
+  Beta-CDF search warp and a Beta-CDF objective warp (zdt3-d2); a d=10 row
+  takes the array route;
 - one binary tournament (`_tournament`) over 100 rows;
 - one SMS-EMOA drop, the first smallest hypervolume contributor of a
   front of 11 and of 101 members;
@@ -17,7 +19,10 @@ time. This script times, best of --repeats:
   populations 10 and 100; budget 1000), one after another;
 - the 36 runs of perfbench's warp-generational workload (dtlz1-d2 and
   zdt3-d2; the identity, the Beta search grid and the Beta objective grid
-  over {0.5, 2}; NSGA-II at populations 10 and 100; budget 1000).
+  over {0.5, 2}; NSGA-II at populations 10 and 100; budget 1000);
+- the 72 runs of perfbench's log-and-report workload (random search on all
+  18 d=2 problems; the identity, rotation seed 1 and Beta(0.5, 2) search
+  warps and a Beta(2, 0.5) objective warp; population 100; budget 1000).
 
 With --other, it also imports the mobench package of a second source tree
 under the name `mobench_other`, runs every case on both trees, alternating
@@ -43,11 +48,14 @@ from pathlib import Path
 
 import numpy as np
 
+IDENTITY = {"kind": "identity"}
+ROTATION = {"kind": "sphered_rotation", "seed": 1}
+BETA = {"kind": "beta_cdf", "alpha": 0.5, "beta": 2.0}  # Beta(0.5, 2), in either space
 BETA_GRID = {"kind": "beta_cdf_grid", "values": [0.5, 2.0]}
 RUN_CONFIGS = {  # perfbench's workloads, by name: (config, number of runs)
     "steady_state_ranking": ({
         "problems": ["dtlz1-d2", "zdt3-d2"],
-        "search_transforms": [{"kind": "identity"}, {"kind": "sphered_rotation", "seed": 1}],
+        "search_transforms": [IDENTITY, ROTATION],
         "algorithms": [{"name": name, "population": pop}
                        for name in ("smsemoa", "moead") for pop in (10, 100)],
         "budget": 1000,
@@ -55,12 +63,20 @@ RUN_CONFIGS = {  # perfbench's workloads, by name: (config, number of runs)
     }, 16),
     "warp_generational": ({
         "problems": ["dtlz1-d2", "zdt3-d2"],
-        "search_transforms": [{"kind": "identity"}, BETA_GRID],
+        "search_transforms": [IDENTITY, BETA_GRID],
         "objective_transforms": [BETA_GRID],
         "algorithms": [{"name": "nsga2", "population": pop} for pop in (10, 100)],
         "budget": 1000,
         "repetitions": 1,
     }, 36),
+    "log_and_report": ({
+        "problems": ["all-d2"],
+        "search_transforms": [IDENTITY, ROTATION, BETA],
+        "objective_transforms": [{"kind": "beta_cdf", "alpha": 2.0, "beta": 0.5}],
+        "algorithms": [{"name": "random_search", "population": 100}],
+        "budget": 1000,
+        "repetitions": 1,
+    }, 72),
 }
 
 
@@ -85,11 +101,11 @@ class Tree:
         self.alg, self.harness, self.inst = mod["algorithms"], mod["harness"], mod["instance"]
         self.problems, self.transforms = mod["problems"], mod["transforms"]
 
-    def instance(self, problem: str, search: dict):
+    def instance(self, problem: str, search: dict, objective: dict = IDENTITY):
         pid = self.problems.parse_problem_id(problem)
         spec = self.transforms.TransformSpec
         return self.inst.ProblemInstance(pid, spec.from_config(search, dim=pid.dim),
-                                         spec.identity())
+                                         spec.from_config(objective))
 
     def drop(self, keys, f_seen):
         """The position SMS-EMOA drops from a front of ascending (f1, f2, row)
@@ -107,12 +123,15 @@ class Tree:
 
 def one_row_cases(tree: Tree, rows: np.ndarray):
     out = {}
-    for name, problem, search in (
-        ("evaluate_1_row.identity.d2", "dtlz1-d2", {"kind": "identity"}),
-        ("evaluate_1_row.rotation.d2", "zdt3-d2", {"kind": "sphered_rotation", "seed": 1}),
-        ("evaluate_1_row.rotation.d10", "zdt3-d10", {"kind": "sphered_rotation", "seed": 1}),
+    for name, problem, search, objective in (
+        ("evaluate_1_row.identity.d2", "dtlz1-d2", IDENTITY, IDENTITY),
+        ("evaluate_1_row.identity.d10", "zdt1-d10", IDENTITY, IDENTITY),
+        ("evaluate_1_row.rotation.d2", "zdt3-d2", ROTATION, IDENTITY),
+        ("evaluate_1_row.rotation.d10", "zdt3-d10", ROTATION, IDENTITY),
+        ("evaluate_1_row.beta_search.d2", "zdt3-d2", BETA, IDENTITY),
+        ("evaluate_1_row.beta_objective.d2", "zdt3-d2", IDENTITY, BETA),
     ):
-        inst = tree.instance(problem, search)
+        inst = tree.instance(problem, search, objective)
         d = inst.problem.dim
         points = [r[np.newaxis, :d] for r in rows]
         fn = tree.inst.evaluate_instance_batch

@@ -9,14 +9,23 @@ the original ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, NumericError, ParameterError
-from .problems import ProblemId, batch_kernel
+from .problems import ProblemId, batch_kernel, row_kernel
 from .specfun import check_unit, inv_reg_inc_beta, reg_inc_beta
-from .transforms import BETA_CDF, IDENTITY, SPHERED_ROTATION, TransformSpec, transform_batch
+from .transforms import (
+    _ROW_MAX_DIM,
+    BETA_CDF,
+    IDENTITY,
+    SPHERED_ROTATION,
+    TransformSpec,
+    transform_batch,
+    transform_row,
+)
 
 __all__ = [
     "ProblemInstance",
@@ -34,9 +43,11 @@ class ProblemInstance:
     search_t: TransformSpec
     objective_t: TransformSpec
     _kernel: object = field(init=False, compare=False, repr=False)  # batch_kernel(problem)
+    _row_kernel: object = field(init=False, compare=False, repr=False)  # row_kernel(problem)
 
     def __post_init__(self):
         object.__setattr__(self, "_kernel", batch_kernel(self.problem))
+        object.__setattr__(self, "_row_kernel", row_kernel(self.problem))
         if self.objective_t.kind not in (IDENTITY, BETA_CDF):
             raise ParameterError(
                 f"objective transform must be identity or beta_cdf, got {self.objective_t.kind}"
@@ -95,8 +106,31 @@ def unwarp_objectives(t: TransformSpec, f_seen) -> tuple[float, float]:
     return a, b
 
 
+def _evaluate_row(inst: ProblemInstance, x: list[float]):
+    """evaluate_instance_batch of the one-row batch [x] on Python floats, or
+    None when the row must raise: a coordinate outside [0, 1] or NaN, or an
+    objective that is not finite. The array route then raises the error."""
+    for t in x:
+        if not 0.0 <= t <= 1.0:  # false for NaN too
+            return None
+    f_orig = inst._row_kernel(transform_row(inst.search_t, x))
+    f1, f2 = f_orig
+    if not (math.isfinite(f1) and math.isfinite(f2)):
+        return None
+    shape = inst.objective_t.shape
+    if shape is None:  # the identity
+        f_seen = f_orig
+    else:
+        f_seen = [reg_inc_beta(v, shape) if 0.0 <= v <= 1.0 else v for v in f_orig]
+    return np.array([f_seen]), np.array([f_orig])
+
+
 def evaluate_instance_batch(inst: ProblemInstance, x_seen) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a batch of algorithm-space points.
+
+    A batch of one row of at most transforms._ROW_MAX_DIM coordinates runs
+    on Python floats (_evaluate_row), any other on numpy arrays; both give
+    the same bits and raise the same errors.
 
     Args:
         inst: The composed instance.
@@ -109,6 +143,10 @@ def evaluate_instance_batch(inst: ProblemInstance, x_seen) -> tuple[np.ndarray, 
     pts = np.asarray(x_seen, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != inst.problem.dim:
         raise DimensionError(f"expected a (n, {inst.problem.dim}) batch, got shape {pts.shape}")
+    if len(pts) == 1 and pts.shape[1] <= _ROW_MAX_DIM:
+        out = _evaluate_row(inst, pts[0].tolist())
+        if out is not None:
+            return out
     if inst.search_t.kind != BETA_CDF:
         check_unit(pts)  # a Beta-CDF search warp checks pts in reg_inc_beta
     inner = transform_batch(inst.search_t, pts, inverse=False)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,20 +54,38 @@ def _log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def _lentz_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction of the incomplete beta integral (NR 6.4 form)."""
+def _cf_table(a: float, b: float) -> tuple[float, float, tuple]:
+    """(a + b, a + 1, steps) for _lentz_cf: step m - 1 holds the parts of
+    iteration m's two coefficients that do not depend on x, computed as the
+    iteration's formula computes them."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
+    steps = []
+    for m in range(1, _MAX_ITER + 1):
+        m2 = 2 * m
+        steps.append((m * (b - m), (qam + m2) * (a + m2), -(a + m) * (qab + m), (a + m2) * (qap + m2)))
+    return qab, qap, tuple(steps)
+
+
+@lru_cache(maxsize=256)
+def _shape_tables(a: float, b: float) -> tuple[float, tuple, tuple]:
+    """-log B(a, b) and the continued fraction's tables for (a, b) and (b, a)."""
+    return -_log_beta(a, b), _cf_table(a, b), _cf_table(b, a)
+
+
+def _lentz_cf(table: tuple, x: float, a: float, b: float) -> float:
+    """Continued fraction of the incomplete beta integral (NR 6.4 form), with
+    the coefficients' x-free parts from table = _cf_table(a, b)."""
+    qab, qap, steps = table
     c = 1.0
     d = 1.0 - qab * x / qap
     if abs(d) < _CF_TINY:
         d = _CF_TINY
     d = 1.0 / d
     h = d
-    for m in range(1, _MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+    for even_num, even_den, odd_num, odd_den in steps:
+        aa = even_num * x / even_den
         d = 1.0 + aa * d
         if abs(d) < _CF_TINY:
             d = _CF_TINY
@@ -75,7 +94,7 @@ def _lentz_cf(a: float, b: float, x: float) -> float:
             c = _CF_TINY
         d = 1.0 / d
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        aa = odd_num * x / odd_den
         d = 1.0 + aa * d
         if abs(d) < _CF_TINY:
             d = _CF_TINY
@@ -95,12 +114,13 @@ def _lentz_cf(a: float, b: float, x: float) -> float:
 def _betainc_scalar(a: float, b: float, x: float) -> float:
     if x == 0.0 or x == 1.0:
         return x
+    neg_log_beta, cf_ab, cf_ba = _shape_tables(a, b)
     if x < (a + 1.0) / (a + b + 2.0):
-        lbt = -_log_beta(a, b) + a * math.log(x) + b * math.log1p(-x)
-        return min(1.0, math.exp(lbt) * _lentz_cf(a, b, x) / a)
+        lbt = neg_log_beta + a * math.log(x) + b * math.log1p(-x)
+        return min(1.0, math.exp(lbt) * _lentz_cf(cf_ab, x, a, b) / a)
     xc = 1.0 - x
-    lbt = -_log_beta(a, b) + b * math.log(xc) + a * math.log1p(-xc)
-    return max(0.0, 1.0 - math.exp(lbt) * _lentz_cf(b, a, xc) / b)
+    lbt = neg_log_beta + b * math.log(xc) + a * math.log1p(-xc)
+    return max(0.0, 1.0 - math.exp(lbt) * _lentz_cf(cf_ba, xc, b, a) / b)
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
@@ -176,9 +196,13 @@ def _run_kernel(v, what: str, params: ShapeParams, scalar, array, scalar_max: in
     """Check v against [0, 1] and apply the kernels to it: the array kernel
     to an array of more than scalar_max values, else the scalar kernel to
     each value."""
+    a, b = params.alpha, params.beta
+    if type(v) is float:  # one Python float, as the one-row routes pass: no numpy call
+        if not 0.0 <= v <= 1.0:  # false for NaN too
+            check_unit(np.array(v), what)
+        return scalar(a, b, v)
     arr = np.asarray(v, dtype=float)
     check_unit(arr, what)
-    a, b = params.alpha, params.beta
     if arr.ndim == 0:
         return scalar(a, b, float(arr))
     if arr.size > scalar_max:

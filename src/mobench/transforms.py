@@ -36,7 +36,7 @@ _ORTHO_TOL = 1e-12  # per entry of R^T R - I
 _DET_TOL = 1e-10
 _CLAMP_TOL = 1e-12  # max out-of-box excursion tolerated after a transform
 _ACCUMULATE_ROWS = 32  # batches of at most this many rows rotate in one accumulate call
-_ROW_MAX_DIM = 7  # one row of at most this many coordinates rotates on Python floats
+_ROW_MAX_DIM = 7  # one row of at most this many coordinates may run on Python floats
 
 IDENTITY = "identity"
 BETA_CDF = "beta_cdf"
@@ -213,18 +213,31 @@ def _as_points(x) -> tuple[np.ndarray, bool]:
     return pts, single
 
 
+def _needs_clip(lo: float, hi: float) -> bool:
+    """Whether values from lo to hi need clipping to [0, 1]; values inside
+    (0, 1] need none. Raises NumericError when they leave [0, 1] by more
+    than _CLAMP_TOL."""
+    if lo > 0.0 and hi <= 1.0:
+        return False
+    excess = max(hi - 1.0, -lo)  # NaN when the values hold NaN, which clip keeps
+    if excess > _CLAMP_TOL:
+        raise NumericError(f"transform left the unit cube by {excess:.3e}")
+    return True
+
+
 def _clamp_unit(pts: np.ndarray) -> np.ndarray:
     """Clip a freshly computed batch to [0, 1]; a batch inside (0, 1] needs
     no clipping and is returned as it is."""
-    if not pts.size:
-        return pts
-    lo, hi = float(pts.min()), float(pts.max())
-    if lo > 0.0 and hi <= 1.0:
-        return pts
-    excess = max(hi - 1.0, -lo)  # NaN when pts holds NaN, which clip keeps
-    if excess > _CLAMP_TOL:
-        raise NumericError(f"transform left the unit cube by {excess:.3e}")
-    return np.clip(pts, 0.0, 1.0)
+    if pts.size and _needs_clip(float(pts.min()), float(pts.max())):
+        return np.clip(pts, 0.0, 1.0)
+    return pts
+
+
+def _clamp_row(row: list[float]) -> list[float]:
+    """_clamp_unit of one row of finite Python floats."""
+    if _needs_clip(min(row), max(row)):
+        return [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in row]  # np.clip's bits
+    return row
 
 
 def _rotate(pts: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -300,11 +313,19 @@ def transform_batch(t: TransformSpec, pts: np.ndarray, inverse: bool) -> np.ndar
             f"point dimension {pts.shape[1]} does not match rotation dim {t.rotation.dim}"
         )
     m = t.rotation.entries.T if inverse else t.rotation.entries
-    if len(pts) == 1 and pts.shape[1] <= _ROW_MAX_DIM:
-        row = _rotate_row(pts[0].tolist(), m.tolist())
-        inside = 0.0 < min(row) and max(row) <= 1.0  # _clamp_unit's test, without numpy
-        return np.array([row]) if inside else _clamp_unit(np.array([row]))
     return _clamp_unit(_rotate(pts, m))
+
+
+def transform_row(t: TransformSpec, x: list[float]) -> list[float]:
+    """The forward transform_batch of one row of at most _ROW_MAX_DIM
+    coordinates, given and returned as Python floats: the same bits without
+    numpy's per-call cost. x must lie in [0, 1]^d already and match a
+    rotation's dimension. A Beta-CDF warp calls reg_inc_beta on each value."""
+    if t.kind == IDENTITY:
+        return x
+    if t.kind == BETA_CDF:
+        return _clamp_row([reg_inc_beta(v, t.shape) for v in x])
+    return _clamp_row(_rotate_row(x, t.rotation.entries.tolist()))
 
 
 def _apply(t: TransformSpec, x, inverse: bool):

@@ -17,6 +17,7 @@ from mobench.algorithms import (
     _pow,
     _RunState,
     _smallest_contributor,
+    _survivor_fronts,
     _tournament,
     _variation_pair,
     crowding_distance,
@@ -667,13 +668,18 @@ class TestRunContracts:
 
     def test_one_formula_call_per_batch(self, name):
         inst = make_instance(problem=("zdt", 1, 2))
-        formula, batches = inst._kernel, []
+        formula, row_formula, batches = inst._kernel, inst._row_kernel, []
 
         def counted(x):
             batches.append(len(x))
             return formula(x)
 
+        def counted_row(x):  # a one-row batch's formula, on Python floats
+            batches.append(1)
+            return row_formula(x)
+
         object.__setattr__(inst, "_kernel", counted)
+        object.__setattr__(inst, "_row_kernel", counted_row)
         RUNNERS[name](inst, AlgoConfig(name, population=10, budget=95, seed=2))
         # a generation, a random-search batch or a steady-state step is one call
         per_run = {"random_search": [95], "nsga2": [10] * 9 + [5]}
@@ -778,3 +784,17 @@ class TestConfigValidation:
             AlgoConfig("nsga2", 10, 5, 0)
         with pytest.raises(ParameterError):
             AlgoConfig("nsga2", 10, 100, -1)
+
+
+def test_survivors_keep_their_union_fronts():
+    """The survivors' fronts, read off the union's, equal a fresh sort of
+    the survivors, in the sort's order: exact duplicates, tied values and a
+    last front cut by crowding included."""
+    rng = np.random.default_rng(71)
+    for trial in range(300):
+        n = int(rng.integers(2, 60))
+        f = np.round(rng.random((2 * n, 2)) * rng.choice([4, 10, 1000]), 0) / 10
+        fronts = fast_nondominated_sort(f)
+        chosen = nsga2_survival(f, n, fronts)
+        assert chosen == nsga2_survival(f, n)
+        assert _survivor_fronts(fronts, f[chosen]) == fast_nondominated_sort(f[chosen]), trial

@@ -313,7 +313,8 @@ def test_any_split_of_a_batch_gives_the_same_bits(case):
 def test_beta_warps_check_each_batch_once(monkeypatch):
     """A Beta search warp and a Beta objective warp each check their block
     once, inside the public reg_inc_beta they call by name; the instance
-    does not check x_seen a second time."""
+    does not check x_seen a second time. A one-row batch runs on Python
+    floats: reg_inc_beta sees each value alone and checks it without numpy."""
     checks, warps = [], []
     check_unit = specfun.check_unit
 
@@ -326,13 +327,103 @@ def test_beta_warps_check_each_batch_once(monkeypatch):
     for module in (transforms, instance):
         warp = module.reg_inc_beta
         monkeypatch.setattr(
-            module, "reg_inc_beta", lambda x, p, warp=warp: warps.append(x.shape) or warp(x, p)
+            module, "reg_inc_beta", lambda x, p, warp=warp: warps.append(np.shape(x)) or warp(x, p)
         )
     beta = TransformSpec.beta_cdf(0.5, 2.0)
-    inst = make_instance(problem=("dtlz", 1, 2), search=beta, objective=beta)
+    inst = make_instance(problem=("zdt", 1, 2), search=beta, objective=beta)
     for n in (1, 10, 100):
         checks.clear()
         warps.clear()
-        evaluate_instance_batch(inst, np.full((n, 2), 0.3))
-        assert checks == [(n, 2), (n, 2)]
-        assert warps == [(n, 2), (n, 2)]
+        evaluate_instance_batch(inst, np.tile([0.3, 0.0], (n, 1)))  # objectives in [0, 1]
+        if n == 1:
+            assert checks == [] and warps == [()] * 4
+        else:
+            assert checks == [(n, 2), (n, 2)]
+            assert warps == [(n, 2), (n, 2)]
+
+
+# --- the one-row route on Python floats --------------------------------------
+
+EDGES = [0.0, -0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0]
+ROW_SEARCH = [
+    TransformSpec.identity(),
+    TransformSpec.sphered_rotation(dim=2, seed=1),
+    TransformSpec.sphered_rotation(dim=2, seed=3),
+    *(TransformSpec.beta_cdf(a, b) for a in (0.5, 2.0) for b in (0.5, 2.0)),
+]
+ROW_OBJECTIVE = [TransformSpec.identity(), TransformSpec.beta_cdf(0.5, 2.0)]
+
+
+def edge_rows(seed: int) -> np.ndarray:
+    """Every pair of coordinates from 0, -0.0, 1, the doubles next to them
+    and 0.5, then random points with some edge coordinates."""
+    rng = np.random.default_rng(seed)
+    pairs = np.array([[a, b] for a in EDGES for b in EDGES])
+    x = rng.random((60, 2))
+    edge = rng.random(x.shape) < 0.3
+    x[edge] = rng.choice(EDGES, int(edge.sum()))
+    return np.vstack([pairs, x])
+
+
+@pytest.mark.parametrize("pid", [p for p in list_problems() if p.dim == 2], ids=str)
+def test_one_row_route_gives_the_batch_bits(pid):
+    """Each row evaluated alone, on Python floats, gives the bits it gets in
+    a batch of all 109 rows, which runs on numpy arrays."""
+    x = edge_rows(pid.index)
+    for search in ROW_SEARCH:
+        for objective in ROW_OBJECTIVE:
+            inst = ProblemInstance(pid, search, objective)
+            f_seen, f_orig = evaluate_instance_batch(inst, x)
+            for i, row in enumerate(x):
+                seen, orig = evaluate_instance_batch(inst, row[np.newaxis])
+                assert seen.shape == orig.shape == (1, 2)
+                assert orig.tobytes() == f_orig[i].tobytes(), (search, objective, row)
+                assert seen.tobytes() == f_seen[i].tobytes(), (search, objective, row)
+
+
+@pytest.mark.parametrize("problem,routed", [(("zdt", 3, 2), True), (("zdt", 3, 10), False)])
+def test_shape_picks_the_route(monkeypatch, problem, routed):
+    """A one-row batch of at most _ROW_MAX_DIM coordinates runs on Python
+    floats; a one-row d=10 batch and any larger batch take the array route."""
+    rows = []
+    row_route = instance._evaluate_row
+    monkeypatch.setattr(
+        instance, "_evaluate_row", lambda inst, x: rows.append(len(x)) or row_route(inst, x)
+    )
+    rotation = TransformSpec.sphered_rotation(dim=problem[2], seed=1)
+    inst = make_instance(problem=problem, search=rotation)
+    evaluate_instance_batch(inst, np.full((1, problem[2]), 0.3))
+    evaluate_instance_batch(inst, np.full((2, problem[2]), 0.3))
+    assert rows == ([problem[2]] if routed else [])
+
+
+def _raised(inst, x):
+    try:
+        evaluate_instance_batch(inst, x)
+    except Exception as exc:  # noqa: BLE001 - the class and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("search", ROW_SEARCH[:4], ids=["identity", "rot1", "rot3", "beta"])
+def test_both_routes_raise_the_same_errors(monkeypatch, search):
+    inst = make_instance(search=search, objective=TransformSpec.beta_cdf(2.0, 0.5))
+    nan = math.nan
+    bad = [
+        [[nan, 0.5]], [[0.5, nan]], [[1.5, 0.5]], [[0.5, -1e-300]], [[2.0, nan]], [[nan, 2.0]],
+        [[-0.0, 1.0 + 2.0**-52]], [[math.inf, 0.5]], [[0.5, 0.5, 0.5]], [0.5, 0.5], [[0.5]],
+    ]
+    routed = [_raised(inst, x) for x in bad]
+    monkeypatch.setattr(instance, "_ROW_MAX_DIM", 0)  # every batch takes the array route
+    assert routed == [_raised(inst, x) for x in bad]
+    assert all(r is not None for r in routed)
+
+
+def test_both_routes_reject_a_non_finite_objective(monkeypatch):
+    inst = make_instance(problem=("zdt", 1, 2))
+    object.__setattr__(inst, "_kernel", lambda x: np.full((len(x), 2), math.inf))
+    object.__setattr__(inst, "_row_kernel", lambda x: (math.inf, 0.0))
+    routed = _raised(inst, [[0.5, 0.5]])
+    assert routed == (NumericError, "objective values must be finite")
+    monkeypatch.setattr(instance, "_ROW_MAX_DIM", 0)
+    assert _raised(inst, [[0.5, 0.5]]) == routed

@@ -13,6 +13,7 @@ from mobench.problems import (
     list_problems,
     native_bounds,
     parse_problem_id,
+    row_kernel,
 )
 
 
@@ -192,7 +193,10 @@ class TestProperties:
 # --- reference: the one-point scalar formulas ------------------------------
 #
 # The array kernels must reproduce these bit for bit: libm's sin, cos, exp and
-# pow where these apply them to a single value, numpy where these use numpy.
+# pow where these apply them to a single value or to each value (_cos), numpy
+# where these use numpy.
+
+_cos = np.vectorize(math.cos, otypes=[float])  # libm's cos on each value
 
 
 def _ref_zdt1(x):
@@ -218,7 +222,7 @@ def _ref_zdt4(x):
     f1 = x[0]
     tail = x[1:]
     g = 1.0 + 10.0 * (len(x) - 1) + float(
-        np.sum(tail * tail - 10.0 * np.cos(4.0 * math.pi * tail))
+        np.sum(tail * tail - 10.0 * _cos(4.0 * math.pi * tail))
     )
     return f1, g * (1.0 - math.sqrt(f1 / g))
 
@@ -232,7 +236,7 @@ def _ref_zdt6(x):
 def _ref_dtlz_g1(tail):
     k = len(tail)
     return 100.0 * (
-        k + float(np.sum((tail - 0.5) ** 2 - np.cos(20.0 * math.pi * (tail - 0.5))))
+        k + float(np.sum((tail - 0.5) ** 2 - _cos(20.0 * math.pi * (tail - 0.5))))
     )
 
 
@@ -371,3 +375,15 @@ def test_kernel_matches_scalar_reference_exactly(pid):
         assert type(out) is tuple and len(out) == 2
         assert all(type(v) is float for v in out)
         assert out == tuple(f[i].tolist())
+
+
+@pytest.mark.parametrize("pid", [p for p in list_problems() if p.dim == 2], ids=str)
+def test_row_kernel_matches_batch_kernel_exactly(pid):
+    """The same formula on one point's Python floats gives the batch's bits,
+    signed zeros included."""
+    x = _test_points(pid)
+    edge = np.random.default_rng(pid.index).random(x.shape) < 0.2
+    x[edge] = np.random.default_rng(pid.index + 1).choice([0.0, -0.0, 1.0], int(edge.sum()))
+    want = batch_kernel(pid)(x)
+    got = np.array([row_kernel(pid)(row) for row in x.tolist()])
+    assert got.tobytes() == want.tobytes()

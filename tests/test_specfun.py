@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from mobench.errors import DomainError, ParameterError
+from mobench.errors import DomainError, NumericError, ParameterError
 from mobench.specfun import (
+    _CF_EPS,
+    _CF_TINY,
+    _MAX_ITER,
     ShapeParams,
     _betainc_array,
     _betainc_scalar,
@@ -347,3 +350,84 @@ def test_strict_monotonicity_property(x1, x2, a, b):
     assert reg_inc_beta(lo, p) <= reg_inc_beta(hi, p)
     if hi - lo > 1e-9:
         assert reg_inc_beta(lo, p) < reg_inc_beta(hi, p)
+
+
+# --- the scalar kernel against its untabulated form --------------------------
+
+
+def _reference_lentz_cf(a, b, x):
+    """The continued fraction with every coefficient computed in the loop."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _CF_TINY:
+        d = _CF_TINY
+    d = 1.0 / d
+    h = d
+    for m in range(1, _MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _CF_TINY:
+            d = _CF_TINY
+        c = 1.0 + aa / c
+        if abs(c) < _CF_TINY:
+            c = _CF_TINY
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _CF_TINY:
+            d = _CF_TINY
+        c = 1.0 + aa / c
+        if abs(c) < _CF_TINY:
+            c = _CF_TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _CF_EPS:
+            return h
+    raise NumericError("no convergence")
+
+
+def _reference_betainc_scalar(a, b, x):
+    """I_x(a, b) with log B(a, b) computed for each value."""
+    if x == 0.0 or x == 1.0:
+        return x
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    if x < (a + 1.0) / (a + b + 2.0):
+        lbt = -log_beta + a * math.log(x) + b * math.log1p(-x)
+        return min(1.0, math.exp(lbt) * _reference_lentz_cf(a, b, x) / a)
+    xc = 1.0 - x
+    lbt = -log_beta + b * math.log(xc) + a * math.log1p(-xc)
+    return max(0.0, 1.0 - math.exp(lbt) * _reference_lentz_cf(b, a, xc) / b)
+
+
+def test_tabulated_scalar_kernel_equals_the_reference_on_the_grid():
+    """Per-shape coefficient tables and log B(a, b) give the bits of the
+    loop that computes them for every value, near 0 and 1 too."""
+    rng = np.random.default_rng(53)
+    for a in GRID:
+        for b in GRID:
+            x = edge_packed(rng, 900).tolist()
+            want = np.array([_reference_betainc_scalar(a, b, v) for v in x])
+            assert np.array([_betainc_scalar(a, b, v) for v in x]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("direction", sorted(KERNELS))
+def test_python_float_takes_the_scalar_kernel_without_numpy(direction):
+    fn, scalar, _, _ = KERNELS[direction]
+    p = ShapeParams(0.5, 2.0)
+    for v in (0.0, -0.0, 5e-324, 0.37, 1.0 - 2.0**-53, 1.0):
+        got = fn(v, p)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(scalar(0.5, 2.0, v)).tobytes()
+        assert np.float64(got).tobytes() == fn(np.array([v]), p).tobytes()
+    for v in (math.nan, math.inf, -1e-300, 1.0 + 2.0**-52):
+        with pytest.raises(DomainError) as from_float:
+            fn(v, p)
+        with pytest.raises(DomainError) as from_array:
+            fn(np.float64(v), p)
+        assert str(from_float.value) == str(from_array.value)

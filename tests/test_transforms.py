@@ -27,6 +27,7 @@ from mobench.transforms import (
     random_rotation,
     rotation_matrix_2d,
     transform_batch,
+    transform_row,
 )
 
 GRID = [0.2, 0.5, 1.0, 2.0, 5.0]
@@ -217,6 +218,8 @@ class TestRotationStructure:
             assert np.array([_rotate_row(p.tolist(), m.tolist())]).tobytes() == want.tobytes()
             got = transform_batch(t, p[np.newaxis], inverse)
             assert got.tobytes() == _clamp_unit(want).tobytes()
+            if not inverse:
+                assert np.array([transform_row(t, p.tolist())]).tobytes() == got.tobytes()
 
 
 class TestRandomRotation:
@@ -329,3 +332,15 @@ def test_beta_transform_monotone_per_coordinate(x, y, a, b):
         assert fx <= fy
     elif x > y:
         assert fx >= fy
+
+
+@pytest.mark.parametrize("shape", [(0.5, 2.0), (2.0, 0.5), (0.2, 5.0)])
+def test_one_beta_row_on_python_floats_equals_the_batch(shape):
+    rng = np.random.default_rng(61)
+    pts = rng.random((300, 3))
+    special = rng.random(pts.shape) < 0.2
+    pts[special] = rng.choice([0.0, -0.0, 5e-324, 1.0 - 2.0**-53, 1.0], int(special.sum()))
+    t = TransformSpec.beta_cdf(*shape)
+    want = transform_batch(t, pts, inverse=False)
+    got = np.array([transform_row(t, p.tolist()) for p in pts])
+    assert got.tobytes() == want.tobytes()
