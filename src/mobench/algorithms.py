@@ -144,7 +144,7 @@ def _pow(values: list[float], exponent: float) -> list[float]:
 
 
 def _clip_unit(v: float) -> float:
-    """np.clip(v, 0.0, 1.0) for one float: NaN stays NaN, -0.0 becomes 0.0."""
+    """_clip_unit_array for one float: NaN stays NaN, -0.0 becomes 0.0 (np.clip keeps -0.0)."""
     if v != v:
         return v
     return 0.0 if v <= 0.0 else 1.0 if v >= 1.0 else v

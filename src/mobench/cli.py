@@ -22,7 +22,7 @@ from .harness import (
     emit_runs_csv,
     execute,
     expand_matrix,
-    load_runs,
+    read_runs,
     report_ab_heatmap,
     report_hv_over_time,
     report_relative_hv,
@@ -82,8 +82,9 @@ def _cmd_run(args) -> int:
     runs_csv = emit_runs_csv(rows, Path(out_dir) / "runs.csv")
     print(f"wrote {runs_csv} ({len(rows)} runs, {len(failures)} failures)")
     if failures:
-        errors_csv = emit_errors_csv(summaries, Path(out_dir) / "errors.csv")
-        print(f"wrote {errors_csv}")
+        print(f"wrote {emit_errors_csv(summaries, Path(out_dir) / 'errors.csv')}")
+    else:  # a clean batch keeps no earlier batch's failure list
+        (Path(out_dir) / "errors.csv").unlink(missing_ok=True)
     return 0
 
 
@@ -92,13 +93,12 @@ def _cmd_report(args) -> int:
         raise ConfigError("ab-heatmap needs --problem and --algo")
     if args.kind == "over-time" and not (args.problem and args.transform):
         raise ConfigError("over-time needs --problem and --transform")
-    # boxes are pooled per problem, so a per-problem report needs only its runs
-    problem = None if args.kind == "relative" else args.problem
-    summaries = load_runs(args.in_dir, problem)
-    failed = sum(s.error is not None for s in summaries)
-    scope = f" of {problem}" if problem else ""
-    print(f"read {len(summaries)} runs{scope}, {failed} failed")
-    rows = compute_run_rows(summaries, compute_boxes(summaries))
+    rows, failed = read_runs(args.in_dir)
+    scope = "" if args.kind == "relative" else f" of {args.problem}"
+    if args.kind != "relative":  # a per-problem report counts and passes on only its runs
+        rows = [r for r in rows if r.problem == args.problem]
+        failed = [p for p in failed if p == args.problem]
+    print(f"read {len(rows) + len(failed)} runs{scope}, {len(failed)} failed")
     reports_dir = Path(args.in_dir) / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
     if args.kind == "ab-heatmap":

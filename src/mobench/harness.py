@@ -1,10 +1,10 @@
 """Experiment definition, run-matrix expansion, execution, and reports.
 
-The pipeline is two-pass: the run pass executes (instance, algorithm, seed)
-jobs, persists one raw evaluation log per run, and keeps a light summary
-(the archive's accepted history plus final population). The report pass pools
-per-problem objective extrema into normalization boxes, computes hypervolume
-columns, and emits plot-ready CSV tables.
+The run pass executes (instance, algorithm, seed) jobs, persists one raw
+evaluation log and one sidecar per run, pools per-problem objective extrema
+into normalization boxes, and writes every run's hypervolume columns to
+`runs.csv`. The report pass reads `runs.csv` and the sidecars, no log, and
+emits plot-ready CSV tables.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ __all__ = [
     "RunRow",
     "expand_matrix",
     "execute",
-    "load_runs",
+    "read_runs",
     "compute_boxes",
     "compute_run_rows",
     "emit_runs_csv",
@@ -125,7 +125,7 @@ class Job:
 
 @dataclass
 class RunSummary:
-    """What the report pass needs from one run."""
+    """What the run pass scores a run from; `accepted` is (n, 3) float64 (eval_index, f1, f2)."""
 
     problem: str
     instance: str
@@ -135,7 +135,7 @@ class RunSummary:
     population: int
     budget: int
     seed: int
-    accepted: list[tuple[int, float, float]] = field(default_factory=list)
+    accepted: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
     final_pop_f: list[list[float]] = field(default_factory=list)
     error: str | None = None
 
@@ -300,7 +300,7 @@ def _execute_job(job: Job, output_dir: str | None) -> RunSummary:
         result = run_algorithm(job.instance, job.algo)
         summary = RunSummary(
             **header,
-            accepted=accepted_history(result.f_orig),
+            accepted=np.array(accepted_history(result.f_orig), dtype=float).reshape(-1, 3),
             final_pop_f=result.f_orig[result.final_population].tolist(),
         )
         if runs_dir is not None:
@@ -331,34 +331,6 @@ def execute(jobs: Sequence[Job], parallelism: int = 1, output_dir: str | None = 
         return list(pool.map(_execute_job, jobs, [output_dir] * len(jobs), chunksize=1))
 
 
-def load_runs(output_dir: str | Path, problem: str | None = None) -> list[RunSummary]:
-    """Rebuild run summaries from persisted logs (stable run-id order).
-
-    The accepted history is recomputed from the raw evaluation log's f_orig
-    fields; final populations and configuration come from the sidecar. With
-    `problem`, only that problem's runs are returned and only their logs are
-    read. A successful run whose log is missing is returned as failed.
-    """
-    runs_dir = Path(output_dir) / "runs"
-    if not runs_dir.is_dir():
-        raise ReportError(f"no runs directory under {output_dir}")
-    summaries = []
-    for meta_path in sorted(runs_dir.glob("*.json")):
-        summary = RunSummary(**json.loads(meta_path.read_text(encoding="utf-8")))
-        if problem is not None and summary.problem != problem:
-            continue
-        if summary.error is None:
-            try:
-                with meta_path.with_suffix(".log").open(encoding="utf-8") as fh:
-                    f_orig = [float(v) for line in fh for v in line.rsplit(",", 2)[1:]]
-            except FileNotFoundError:
-                summary.error = "raw log missing"
-            else:
-                summary.accepted = accepted_history(f_orig)
-        summaries.append(summary)
-    return summaries
-
-
 def checkpoint_grid(population: int, budget: int, n: int = N_CHECKPOINTS) -> list[int]:
     """Log-spaced evaluation indices from the population size to the budget."""
     raw = np.geomspace(max(population, 1), budget, num=n)
@@ -371,11 +343,11 @@ def compute_boxes(summaries: Iterable[RunSummary]) -> dict[str, NormalizationBox
     A run's archive is the non-dominated subset of its accepted points, so
     pooling the accepted points gives the same box.
     """
-    fronts: dict[str, list[list[tuple[float, float]]]] = {}
+    fronts: dict[str, list[np.ndarray]] = {}
     for s in summaries:
         if s.error is not None:
             continue
-        fronts.setdefault(s.problem, []).append([(f1, f2) for _, f1, f2 in s.accepted])
+        fronts.setdefault(s.problem, []).append(s.accepted[:, 1:])
     return {problem: compute_normalization(runs) for problem, runs in fronts.items()}
 
 
@@ -395,9 +367,8 @@ def compute_run_rows(
             continue
         box = boxes[s.problem]
         grid = checkpoint_grid(s.population, s.budget)
-        accepted = np.array(s.accepted, dtype=float).reshape(-1, 3)
-        prefix = np.searchsorted(accepted[:, 0], grid, side="right")
-        hvs = normalized_hv_prefixes(accepted[:, 1:], box, prefix)
+        prefix = np.searchsorted(s.accepted[:, 0], grid, side="right")
+        hvs = normalized_hv_prefixes(s.accepted[:, 1:], box, prefix)
         rows.append(
             RunRow(
                 instance=s.instance,
@@ -430,6 +401,35 @@ def emit_runs_csv(rows: Iterable[RunRow], path: str | Path) -> Path:
         )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def read_runs(output_dir: str | Path) -> tuple[list[RunRow], list[str]]:
+    """The rows of `runs.csv` in sorted sidecar order, and each failed run's problem.
+
+    Hypervolumes come from `runs.csv`, whose `repr` floats read back bit for
+    bit; a row's problem and transform configs from its run's sidecar.
+    """
+    path = Path(output_dir) / "runs.csv"
+    if not path.is_file():
+        raise ReportError(f"no runs.csv under {output_dir}")
+    lines = path.read_text(encoding="utf-8").splitlines()[2:]
+    # each row keyed by its run id, which `_run_id` builds from the same four columns
+    table = {"{}__{}__p{}__s{}".format(*c): c for c in (line.split(",") for line in lines)}
+    rows, failed = [], []
+    for meta_path in sorted((Path(output_dir) / "runs").glob("*.json")):
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        if meta["error"] is not None:
+            failed.append(meta["problem"])
+        elif meta_path.stem not in table:
+            raise ReportError(f"run {meta_path.stem} has no row in runs.csv")
+        else:
+            inst, algo, pop, seed, archive_hv, pop_hv, evals, hvs = table.pop(meta_path.stem)
+            rows.append(RunRow(inst, algo, int(pop), int(seed), float(archive_hv), float(pop_hv),
+                               list(map(int, evals.split(";"))), list(map(float, hvs.split(";"))),
+                               meta["problem"], meta["search_t"], meta["objective_t"]))
+    if table:
+        raise ReportError(f"run {next(iter(table))} in runs.csv has no successful sidecar")
+    return rows, failed
 
 
 def emit_errors_csv(summaries: Iterable[RunSummary], path: str | Path) -> Path:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import pickle
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -28,8 +30,8 @@ from mobench.harness import (
     emit_runs_csv,
     execute,
     expand_matrix,
-    load_runs,
     full_matrix_config,
+    read_runs,
     report_ab_heatmap,
     report_hv_over_time,
     report_relative_hv,
@@ -40,6 +42,12 @@ from mobench.indicators import NormalizationBox, ParetoArchive, accepted_history
 from mobench.instance import ProblemInstance
 from mobench.problems import ProblemId
 from mobench.transforms import TransformSpec
+
+
+def parsed_f_orig(log_path):
+    """The f_orig fields of a raw log, the last two of each line, as floats."""
+    with open(log_path, encoding="utf-8") as fh:
+        return [float(v) for line in fh for v in line.rsplit(",", 2)[1:]]
 
 
 def small_config(**overrides):
@@ -153,7 +161,8 @@ class TestExecute:
         jobs = expand_matrix(small_config())
         seq = execute(jobs, parallelism=1)
         par = execute(jobs, parallelism=4)
-        assert [s.__dict__ for s in seq] == [s.__dict__ for s in par]
+        # by pickled bytes: the accepted arrays compare by bits, dtype and shape too
+        assert [pickle.dumps(s) for s in seq] == [pickle.dumps(s) for s in par]
         rows_seq = compute_run_rows(seq, compute_boxes(seq))
         rows_par = compute_run_rows(par, compute_boxes(par))
         p1 = emit_runs_csv(rows_seq, tmp_path / "a.csv")
@@ -185,10 +194,11 @@ class TestExecute:
         content = path.read_text()
         assert "DimensionError" in content
         # the failure is persisted as a sidecar without a raw log
-        reloaded = {s.seed: s for s in load_runs(out)}
-        assert reloaded[0].error == summaries[0].error
-        assert reloaded[0].accepted == [] and reloaded[0].final_pop_f == []
-        assert reloaded[1].error is None and reloaded[1].accepted
+        metas = [json.loads(p.read_text()) for p in (out / "runs").glob("*.json")]
+        sidecars = {meta["seed"]: meta for meta in metas}
+        assert sidecars[0]["error"] == summaries[0].error and sidecars[0]["final_pop_f"] == []
+        assert sidecars[1]["error"] is None and sidecars[1]["final_pop_f"]
+        assert summaries[0].accepted.shape == (0, 3) and len(summaries[1].accepted)
         assert len(list((out / "runs").glob("*.json"))) == 2
         assert len(list((out / "runs").glob("*.log"))) == 1
 
@@ -211,44 +221,18 @@ class TestExecute:
     def test_persist_and_reload(self, tmp_path):
         jobs = expand_matrix(small_config())
         summaries = execute(jobs, output_dir=str(tmp_path))
-        reloaded = load_runs(tmp_path)
-        by_id = {(s.instance, s.algorithm, s.seed): s for s in summaries}
-        assert len(reloaded) == len(summaries)
-        for s in reloaded:
-            orig = by_id[(s.instance, s.algorithm, s.seed)]
-            # the accepted history recomputed from the raw log must match
-            assert s.accepted == orig.accepted
-            assert s.final_pop_f == orig.final_pop_f
-            assert s == orig
-
-    def test_missing_log_loads_as_failed(self, tmp_path):
-        jobs = expand_matrix(small_config(repetitions=1))
-        summaries = execute(jobs, output_dir=str(tmp_path))
-        logs = sorted((tmp_path / "runs").glob("*.log"))
-        logs[0].unlink()
-        reloaded = load_runs(tmp_path)
-        assert [s.error for s in reloaded] == ["raw log missing"] + [None] * (len(jobs) - 1)
-        assert reloaded[0].accepted == []
-        # boxes and rows skip the run instead of scoring it 0.0
-        key = lambda s: (s.instance, s.algorithm, s.seed)  # noqa: E731
-        lost = key(reloaded[0])
-        others = [s for s in summaries if key(s) != lost]
-        assert len(others) == len(jobs) - 1
-        rows = compute_run_rows(reloaded, compute_boxes(reloaded))
-        expected = compute_run_rows(others, compute_boxes(others))
-        assert sorted(rows, key=key) == sorted(expected, key=key)
-
-    def test_load_one_problem_reads_only_its_logs(self, tmp_path):
-        jobs = expand_matrix(small_config(problems=["zdt1-d2", "dtlz1-d2"], repetitions=1))
-        summaries = execute(jobs, output_dir=str(tmp_path))
-        for log in (tmp_path / "runs").glob("zdt1-d2__*.log"):
-            log.write_text("not,a,log\n")
-        with pytest.raises(ValueError):
-            load_runs(tmp_path)
-        key = lambda s: (s.instance, s.algorithm, s.seed)  # noqa: E731
-        reloaded = sorted(load_runs(tmp_path, "dtlz1-d2"), key=key)
-        assert reloaded == sorted((s for s in summaries if s.problem == "dtlz1-d2"), key=key)
-        assert load_runs(tmp_path, "zdt2-d2") == []
+        assert all(s.error is None for s in summaries)
+        for job, s in zip(jobs, summaries):
+            run_id = f"{s.instance}__{s.algorithm}__p{s.population}__s{s.seed}"
+            result = run_algorithm(job.instance, job.algo)
+            # the log's f_orig column reads back bit for bit
+            f_orig = np.array(parsed_f_orig(tmp_path / "runs" / f"{run_id}.log")).reshape(-1, 2)
+            assert f_orig.tobytes() == result.f_orig.tobytes()
+            accepted = np.array(accepted_history(f_orig), dtype=float).reshape(-1, 3)
+            assert accepted.tobytes() == s.accepted.tobytes()
+            meta = json.loads((tmp_path / "runs" / f"{run_id}.json").read_text())
+            assert meta == {k: v for k, v in s.__dict__.items() if k != "accepted"}
+            assert meta["final_pop_f"] == result.f_orig[result.final_population].tolist()
 
     def test_raw_log_line_format(self, tmp_path):
         jobs = expand_matrix(
@@ -419,7 +403,7 @@ class TestCheckpointsMatchArchiveReplay:
         summary = RunSummary(
             problem="p", instance="i", search_t={}, objective_t={}, algorithm="a",
             population=population, budget=len(f_orig), seed=0,
-            accepted=accepted_history(f_orig),
+            accepted=np.array(accepted_history(f_orig), dtype=float).reshape(-1, 3),
         )
         (row,) = compute_run_rows([summary], {"p": box})
         assert row.checkpoint_hvs == replayed_checkpoint_hvs(f_orig, population, box)
@@ -519,6 +503,138 @@ class TestFullMatrix:
         assert len(jobs) == 18 * 55 * 8 * 10
 
 
+REPORTS = {
+    "ab_heatmap_zdt1-d2_random_search_search.csv":
+        ["--kind", "ab-heatmap", "--problem", "zdt1-d2", "--algo", "random_search"],
+    "ab_heatmap_dtlz1-d2_nsga2_objective.csv":
+        ["--kind", "ab-heatmap", "--problem", "dtlz1-d2", "--algo", "nsga2", "--space", "objective"],
+    "relative_hv.csv": ["--kind", "relative"],
+    "hv_over_time_dtlz1-d2.csv":
+        ["--kind", "over-time", "--problem", "dtlz1-d2", "--transform", "s:rot-seed3__o:id"],
+}
+
+
+def build_reports(out: Path) -> dict[str, bytes]:
+    """Every report of REPORTS built by the command line, by file name."""
+    for args in REPORTS.values():
+        assert cli_main(["report", "--in", str(out), *args]) == 0
+    return {name: (out / "reports" / name).read_bytes() for name in REPORTS}
+
+
+def load_runs_from_logs(output_dir):
+    """Reference: the report pass's input as it was rebuilt before reports read runs.csv.
+
+    Each run's accepted history is recomputed from its raw log, and the boxes
+    and rows are recomputed from those histories.
+    """
+    summaries = []
+    for meta_path in sorted((Path(output_dir) / "runs").glob("*.json")):
+        summary = RunSummary(**json.loads(meta_path.read_text(encoding="utf-8")))
+        if summary.error is None:
+            f_orig = parsed_f_orig(meta_path.with_suffix(".log"))
+            summary.accepted = np.array(accepted_history(f_orig), dtype=float).reshape(-1, 3)
+        summaries.append(summary)
+    rows = compute_run_rows(summaries, compute_boxes(summaries))
+    return rows, [s.problem for s in summaries if s.error is not None]
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    """A `mobench run` output directory and the bytes of every report built from it."""
+    config = dict(
+        problems=["zdt1-d2", "dtlz1-d2"],
+        search_transforms=[
+            {"kind": "identity"},
+            {"kind": "beta_cdf_grid", "values": [0.5, 2.0]},
+            {"kind": "sphered_rotation", "seed": 3},
+        ],
+        objective_transforms=[{"kind": "beta_cdf_grid", "values": [0.5, 2.0]}],
+        algorithms=[
+            {"name": "random_search", "population": 5},
+            {"name": "nsga2", "population": 6},
+        ],
+        budget=60,
+        repetitions=2,
+        base_seed=11,
+    )
+    root = tmp_path_factory.mktemp("reports")
+    (root / "config.json").write_text(json.dumps(config))
+    out = root / "out"
+    assert cli_main(["run", "--config", str(root / "config.json"), "--out", str(out)]) == 0
+    return out, build_reports(out)
+
+
+@pytest.fixture
+def fresh_run_dir(run_dir, tmp_path):
+    """A copy of the run directory that a test may damage, without its reports."""
+    out, reports = run_dir
+    copy = shutil.copytree(out, tmp_path / "out")
+    shutil.rmtree(copy / "reports")
+    return copy, reports
+
+
+class TestReportsReadRunsCsv:
+    def test_reports_equal_the_reports_rescored_from_the_logs(self, fresh_run_dir, monkeypatch):
+        out, reports = fresh_run_dir
+        monkeypatch.setattr("mobench.cli.read_runs", load_runs_from_logs)
+        assert build_reports(out) == reports
+
+    def test_shuffled_rows_change_no_report(self, fresh_run_dir):
+        out, reports = fresh_run_dir
+        lines = (out / "runs.csv").read_text().splitlines(keepends=True)
+        rows = lines[2:]
+        shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+        assert shuffled != rows
+        (out / "runs.csv").write_text("".join(lines[:2] + shuffled))
+        assert build_reports(out) == reports
+
+    def test_reports_read_no_log(self, fresh_run_dir):
+        out, reports = fresh_run_dir
+        logs = list((out / "runs").glob("*.log"))
+        assert len(logs) == 80
+        for log in logs:
+            log.write_text("not,a,log\n")
+        assert build_reports(out) == reports
+
+    def test_missing_log_changes_no_report(self, fresh_run_dir):
+        out, reports = fresh_run_dir
+        sorted((out / "runs").glob("*.log"))[0].unlink()
+        assert build_reports(out) == reports
+
+    def test_broken_log_changes_no_report(self, fresh_run_dir):
+        out, reports = fresh_run_dir
+        for log in (out / "runs").glob("zdt1-d2__*.log"):
+            log.write_text("not,a,log\n")
+        assert build_reports(out) == reports
+
+    @pytest.mark.parametrize("damage", ["no runs.csv", "orphan sidecar", "orphan row"])
+    def test_missing_pieces_exit_2(self, fresh_run_dir, capsys, damage):
+        out, _ = fresh_run_dir
+        lines = (out / "runs.csv").read_text().splitlines(keepends=True)
+        run_id = "{}__{}__p{}__s{}".format(*lines[2].split(","))
+        if damage == "no runs.csv":
+            (out / "runs.csv").unlink()
+            named = str(out)
+        elif damage == "orphan sidecar":
+            (out / "runs.csv").write_text("".join(lines[:2] + lines[3:]))
+            named = run_id
+        else:
+            (out / "runs" / f"{run_id}.json").unlink()
+            named = run_id
+        capsys.readouterr()
+        for args in REPORTS.values():
+            assert cli_main(["report", "--in", str(out), *args]) == 2
+            err = capsys.readouterr().err
+            assert "ReportError" in err and named in err
+
+    def test_read_runs_keeps_sidecar_order(self, run_dir):
+        out, _ = run_dir
+        rows, failed = read_runs(out)
+        assert failed == []
+        names = [f"{r.instance}__{r.algorithm}__p{r.population}__s{r.seed}.json" for r in rows]
+        assert names == sorted(p.name for p in (out / "runs").glob("*.json"))
+
+
 class TestCli:
     def test_run_and_reports(self, tmp_path):
         config = dict(
@@ -587,10 +703,13 @@ class TestCli:
             return [(out / "reports" / name).read_bytes() for name in names]
 
         before = build()
+        assert cli_main(["report", "--in", str(out), "--kind", "relative"]) == 0
+        relative = (out / "reports" / "relative_hv.csv").read_bytes()
         next((out / "runs").glob("dtlz1-d2__*.log")).write_text("not,a,log\n")
         assert build() == before
-        # the relative report reads every log, so the broken one stops it
-        assert cli_main(["report", "--in", str(out), "--kind", "relative"]) == 2
+        # reports read runs.csv, not the logs, so the broken one stops none of them
+        assert cli_main(["report", "--in", str(out), "--kind", "relative"]) == 0
+        assert (out / "reports" / "relative_hv.csv").read_bytes() == relative
 
     def test_report_arguments_checked_before_reading(self, tmp_path, capsys):
         config = dict(
@@ -614,8 +733,8 @@ class TestCli:
         assert cli_main([*base, "--kind", "over-time", "--transform", "s:id__o:id"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("config error") == 4
-        # with its flags the report does read the log, and fails on it
-        assert cli_main([*base, "--kind", "relative"]) == 2
+        # with its flags the report runs; it reads runs.csv, not the broken log
+        assert cli_main([*base, "--kind", "relative"]) == 0
 
     def test_report_counts_failures(self, tmp_path, capsys):
         bad = ProblemInstance(
@@ -629,13 +748,41 @@ class TestCli:
             Job(bad, AlgoConfig("random_search", 4, 10, 0)),
             Job(good, AlgoConfig("random_search", 4, 10, 1)),
         ]
-        execute(jobs, output_dir=str(tmp_path))
+        summaries = execute(jobs, output_dir=str(tmp_path))
+        # as `mobench run` does: the failed run gets a sidecar and no row
+        emit_runs_csv(compute_run_rows(summaries, compute_boxes(summaries)), tmp_path / "runs.csv")
         capsys.readouterr()
         assert cli_main(["report", "--in", str(tmp_path), "--kind", "relative"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "read 2 runs, 1 failed"
         over_time = ["--kind", "over-time", "--problem", "zdt1-d2", "--transform", "s:id__o:id"]
         assert cli_main(["report", "--in", str(tmp_path), *over_time]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "read 2 runs of zdt1-d2, 1 failed"
+
+    def test_clean_run_removes_an_earlier_errors_csv(self, tmp_path, monkeypatch):
+        config = dict(
+            problems=["zdt1-d2"],
+            search_transforms=[{"kind": "identity"}],
+            objective_transforms=[],
+            algorithms=[{"name": "random_search", "population": 4}],
+            budget=20,
+            repetitions=2,
+        )
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        run = ["run", "--config", str(cfg_path), "--out", str(out)]
+
+        def fail(instance, algo):
+            raise RuntimeError("injected failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("mobench.harness.run_algorithm", fail)
+            assert cli_main(run) == 0
+        assert "injected failure" in (out / "errors.csv").read_text()
+        # the same directory, now without failures: no list of the old ones stays
+        assert cli_main(run) == 0
+        assert not (out / "errors.csv").exists()
+        assert len((out / "runs.csv").read_text().splitlines()) == 2 + 2
 
     def test_output_dir_env_default(self, tmp_path, monkeypatch):
         config = dict(
