@@ -31,6 +31,7 @@ import numpy as np
 from .errors import ParameterError
 from .indicators import nondominated_rows
 from .instance import ProblemInstance, evaluate_instance_batch
+from .specfun import _pow
 
 __all__ = [
     "ALGORITHM_NAMES",
@@ -133,14 +134,10 @@ class _RunState:
 #
 # The operators do their arithmetic on Python floats, which round exactly like
 # numpy's elementwise ufuncs and cost far less per call on d-vectors. Powers
-# stay numpy array powers: numpy's float64 pow may differ from libm's in the
-# last bit, and the draws and results must not change. numpy's ** gives the
+# stay numpy's ** (specfun._pow): numpy's float64 pow may differ from libm's in
+# the last bit, and the draws and results must not change. numpy's ** gives the
 # same bits at every array length, so nsga2_offspring may raise a whole
 # generation's values at once.
-
-
-def _pow(values: list[float], exponent: float) -> list[float]:
-    return (np.array(values) ** exponent).tolist()
 
 
 def _clip_unit(v: float) -> float:

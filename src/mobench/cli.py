@@ -16,7 +16,6 @@ from .errors import ConfigError, ReportError
 from .harness import (
     OUTPUT_DIR_ENV,
     ExperimentConfig,
-    compute_boxes,
     compute_run_rows,
     emit_errors_csv,
     emit_runs_csv,
@@ -77,8 +76,7 @@ def _cmd_run(args) -> int:
     print(f"expanded {len(jobs)} jobs -> {out_dir}")
     summaries = execute(jobs, parallelism=args.parallel, output_dir=out_dir)
     failures = [s for s in summaries if s.error is not None]
-    boxes = compute_boxes(summaries)
-    rows = compute_run_rows(summaries, boxes)
+    rows = compute_run_rows(summaries)
     runs_csv = emit_runs_csv(rows, Path(out_dir) / "runs.csv")
     print(f"wrote {runs_csv} ({len(rows)} runs, {len(failures)} failures)")
     if failures:

@@ -14,7 +14,7 @@ import json
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from . import __version__
 from .algorithms import ALGORITHM_NAMES, AlgoConfig, RunResult, run_algorithm
 from .errors import ConfigError, DegenerateBaseError, ReportError
 from .indicators import (
-    NormalizationBox,
     accepted_history,
     compute_normalization,
     normalized_hv,
@@ -41,7 +40,6 @@ __all__ = [
     "expand_matrix",
     "execute",
     "read_runs",
-    "compute_boxes",
     "compute_run_rows",
     "emit_runs_csv",
     "emit_errors_csv",
@@ -54,6 +52,13 @@ __all__ = [
 
 OUTPUT_DIR_ENV = "MOBENCH_OUT"
 N_CHECKPOINTS = 50
+
+# the study's matrix (full_matrix_config)
+STUDY_ROTATION_SEEDS = (3, 5, 7, 11)
+STUDY_GRID_VALUES = (0.2, 0.5, 1.0, 2.0, 5.0)
+STUDY_POPULATIONS = (10, 100)
+STUDY_BUDGET = 5000
+STUDY_REPETITIONS = 10
 
 RUNS_CSV_COLUMNS = (
     "instance,algorithm,population,seed,final_archive_hv,final_pop_hv,"
@@ -85,8 +90,12 @@ class ExperimentConfig:
         for algo in self.algorithms:
             if not isinstance(algo, dict) or "name" not in algo:
                 raise ConfigError(f"algorithm entries need a name: {algo!r}")
-            if algo["name"] not in ALGORITHM_NAMES:
-                raise ConfigError(f"unknown algorithm {algo['name']!r}")
+            if set(algo) - {"name", "population"}:
+                raise ConfigError(f"algorithm entries take a name and a population: {algo!r}")
+            try:  # the seed plays no part in validity
+                AlgoConfig(algo["name"], int(algo.get("population", 100)), self.budget, 0)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid algorithm entry {algo!r}: {exc}") from exc
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -107,6 +116,10 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"missing config field: {exc}") from exc
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:  # a count or seed that is not an integer
+            raise ConfigError(f"invalid config field: {exc}") from exc
 
     @staticmethod
     def from_file(path: str | Path) -> "ExperimentConfig":
@@ -199,8 +212,8 @@ def _expand_transform_entries(entries: Sequence[dict]) -> list[dict]:
             raise ConfigError(f"transform entries need a kind: {entry!r}")
         if entry["kind"] == "beta_cdf_grid":
             values = entry.get("values")
-            if not values:
-                raise ConfigError(f"beta_cdf_grid needs values: {entry!r}")
+            if not values or set(entry) != {"kind", "values"}:
+                raise ConfigError(f"beta_cdf_grid takes only values, a non-empty list: {entry!r}")
             for a in values:
                 for b in values:
                     out.append({"kind": BETA_CDF, "alpha": float(a), "beta": float(b)})
@@ -251,32 +264,31 @@ def expand_matrix(cfg: ExperimentConfig) -> list[Job]:
             seen.add(inst.descriptor)
             for algo in cfg.algorithms:
                 population = int(algo.get("population", 100))
-                budget = int(algo.get("budget", cfg.budget))
                 for rep in range(cfg.repetitions):
                     seed = _job_seed(
                         cfg.base_seed, inst.descriptor, algo["name"], population, rep
                     )
-                    jobs.append(Job(inst, AlgoConfig(algo["name"], population, budget, seed)))
+                    jobs.append(Job(inst, AlgoConfig(algo["name"], population, cfg.budget, seed)))
     return jobs
 
 
-def _run_id(job: Job) -> str:
-    return f"{job.instance.descriptor}__{job.algo.name}__p{job.algo.population}__s{job.algo.seed}"
+def _run_id(instance: str, algorithm: str, population, seed) -> str:
+    return f"{instance}__{algorithm}__p{population}__s{seed}"
+
+
+def _rows_text(a: np.ndarray) -> Iterator[str]:
+    return (",".join(map(repr, row)) for row in a.tolist())
 
 
 def _write_raw_log(result: RunResult, path: Path) -> None:
     # line format: eval_index,x_seen...,f_seen1,f_seen2,f_orig1,f_orig2
+    # the blocks are formatted as they are written, except f_seen's text, which
+    # f_orig reuses when the two have equal bits (every run without an objective warp)
+    seen = list(_rows_text(result.f_seen))
+    orig = seen if result.f_seen.tobytes() == result.f_orig.tobytes() else _rows_text(result.f_orig)
     with path.open("w", encoding="utf-8") as fh:
-        if result.f_seen.tobytes() != result.f_orig.tobytes():
-            columns = np.hstack([result.x, result.f_seen, result.f_orig]).tolist()
-            for eval_index, row in enumerate(columns, 1):
-                fh.write(f"{eval_index},{','.join(map(repr, row))}\n")
-            return
-        # equal bits give equal text, as in every run without an objective
-        # warp: format the objectives once and write them twice
-        for eval_index, row in enumerate(np.hstack([result.x, result.f_seen]).tolist(), 1):
-            f = f"{row[-2]!r},{row[-1]!r}"
-            fh.write(f"{eval_index},{','.join(map(repr, row[:-2]))},{f},{f}\n")
+        for eval_index, (x, fs, fo) in enumerate(zip(_rows_text(result.x), seen, orig), 1):
+            fh.write(f"{eval_index},{x},{fs},{fo}\n")
 
 
 def _execute_job(job: Job, output_dir: str | None) -> RunSummary:
@@ -296,6 +308,7 @@ def _execute_job(job: Job, output_dir: str | None) -> RunSummary:
         seed=job.algo.seed,
     )
     runs_dir = None if output_dir is None else Path(output_dir) / "runs"
+    run_id = _run_id(job.instance.descriptor, job.algo.name, job.algo.population, job.algo.seed)
     try:
         result = run_algorithm(job.instance, job.algo)
         summary = RunSummary(
@@ -304,13 +317,13 @@ def _execute_job(job: Job, output_dir: str | None) -> RunSummary:
             final_pop_f=result.f_orig[result.final_population].tolist(),
         )
         if runs_dir is not None:
-            _write_raw_log(result, runs_dir / f"{_run_id(job)}.log")
+            _write_raw_log(result, runs_dir / f"{run_id}.log")
     except Exception as exc:  # job failures are recorded, never abort the batch
         summary = RunSummary(**header, error=f"{type(exc).__name__}: {exc}")
     if runs_dir is not None:
         meta = {k: v for k, v in summary.__dict__.items() if k != "accepted"}
         try:
-            (runs_dir / f"{_run_id(job)}.json").write_text(json.dumps(meta), encoding="utf-8")
+            (runs_dir / f"{run_id}.json").write_text(json.dumps(meta), encoding="utf-8")
         except OSError as exc:  # a run that cannot be persisted counts as failed
             summary = RunSummary(**header, error=f"{type(exc).__name__}: {exc}")
     return summary
@@ -331,40 +344,30 @@ def execute(jobs: Sequence[Job], parallelism: int = 1, output_dir: str | None = 
         return list(pool.map(_execute_job, jobs, [output_dir] * len(jobs), chunksize=1))
 
 
-def checkpoint_grid(population: int, budget: int, n: int = N_CHECKPOINTS) -> list[int]:
-    """Log-spaced evaluation indices from the population size to the budget."""
-    raw = np.geomspace(max(population, 1), budget, num=n)
+def checkpoint_grid(population: int, budget: int) -> list[int]:
+    """N_CHECKPOINTS log-spaced evaluation indices from the population size to the budget."""
+    raw = np.geomspace(max(population, 1), budget, num=N_CHECKPOINTS)
     return sorted(set(int(round(v)) for v in raw))
 
 
-def compute_boxes(summaries: Iterable[RunSummary]) -> dict[str, NormalizationBox]:
-    """Normalization box per base problem, pooled across all its runs.
+def compute_run_rows(summaries: Iterable[RunSummary]) -> list[RunRow]:
+    """Score the successful runs: normalized HV columns and checkpointed archive HV.
 
-    A run's archive is the non-dominated subset of its accepted points, so
-    pooling the accepted points gives the same box.
-    """
-    fronts: dict[str, list[np.ndarray]] = {}
-    for s in summaries:
-        if s.error is not None:
-            continue
-        fronts.setdefault(s.problem, []).append(s.accepted[:, 1:])
-    return {problem: compute_normalization(runs) for problem, runs in fronts.items()}
-
-
-def compute_run_rows(
-    summaries: Iterable[RunSummary], boxes: dict[str, NormalizationBox]
-) -> list[RunRow]:
-    """Second pass: normalized HV columns and checkpointed archive HV.
-
-    The archive after evaluation c is the non-dominated subset of the points
+    Each base problem's normalization box is pooled from the accepted points
+    of its successful runs; a run's archive is the non-dominated subset of
+    its accepted points, so this gives the box of the pooled archives. The
+    archive after evaluation c is the non-dominated subset of the points
     accepted up to c, and the hypervolume drops dominated points, so each
     checkpoint's value is that of an accepted-history prefix; one
     `normalized_hv_prefixes` pass per run gives them all.
     """
+    done = [s for s in summaries if s.error is None]
+    fronts: dict[str, list[np.ndarray]] = {}
+    for s in done:
+        fronts.setdefault(s.problem, []).append(s.accepted[:, 1:])
+    boxes = {problem: compute_normalization(runs) for problem, runs in fronts.items()}
     rows = []
-    for s in summaries:
-        if s.error is not None:
-            continue
+    for s in done:
         box = boxes[s.problem]
         grid = checkpoint_grid(s.population, s.budget)
         prefix = np.searchsorted(s.accepted[:, 0], grid, side="right")
@@ -413,8 +416,7 @@ def read_runs(output_dir: str | Path) -> tuple[list[RunRow], list[str]]:
     if not path.is_file():
         raise ReportError(f"no runs.csv under {output_dir}")
     lines = path.read_text(encoding="utf-8").splitlines()[2:]
-    # each row keyed by its run id, which `_run_id` builds from the same four columns
-    table = {"{}__{}__p{}__s{}".format(*c): c for c in (line.split(",") for line in lines)}
+    table = {_run_id(*c[:4]): c for c in (line.split(",") for line in lines)}
     rows, failed = [], []
     for meta_path in sorted((Path(output_dir) / "runs").glob("*.json")):
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -605,34 +607,24 @@ def report_hv_over_time(
     return out
 
 
-def full_matrix_config(
-    dims: Sequence[int] = (2,),
-    output_dir: str | None = None,
-    rotation_seeds: Sequence[int] = (3, 5, 7, 11),
-    grid_values: Sequence[float] = (0.2, 0.5, 1.0, 2.0, 5.0),
-    populations: Sequence[int] = (10, 100),
-    budget: int = 5000,
-    repetitions: int = 10,
-) -> ExperimentConfig:
+def full_matrix_config(dims: Sequence[int] = (2,), output_dir: str | None = None) -> ExperimentConfig:
     """The full experimental matrix restricted to the given dimensions."""
     problems = [f"all-d{d}" for d in dims]
-    search = (
-        [{"kind": "beta_cdf_grid", "values": list(grid_values)}]
-        + [{"kind": IDENTITY}]
-        + [{"kind": SPHERED_ROTATION, "seed": s} for s in rotation_seeds]
-    )
-    objective = [{"kind": "beta_cdf_grid", "values": list(grid_values)}]
+    grid = {"kind": "beta_cdf_grid", "values": list(STUDY_GRID_VALUES)}
+    search = [grid, {"kind": IDENTITY}] + [
+        {"kind": SPHERED_ROTATION, "seed": s} for s in STUDY_ROTATION_SEEDS
+    ]
     algorithms = [
         {"name": name, "population": pop}
         for name in ALGORITHM_NAMES
-        for pop in populations
+        for pop in STUDY_POPULATIONS
     ]
     return ExperimentConfig(
         problems=problems,
         search_transforms=search,
-        objective_transforms=objective,
+        objective_transforms=[grid],
         algorithms=algorithms,
-        budget=budget,
-        repetitions=repetitions,
+        budget=STUDY_BUDGET,
+        repetitions=STUDY_REPETITIONS,
         output_dir=output_dir or os.environ.get(OUTPUT_DIR_ENV, "mobench-out"),
     )

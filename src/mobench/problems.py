@@ -15,13 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import DimensionError, UnknownProblemError
-from .specfun import check_unit
+from .specfun import _libm, _pow, check_unit
 
 __all__ = [
     "ProblemId",
@@ -97,16 +96,10 @@ def list_problems() -> list[ProblemId]:
 # or pow to one value, both call that libm function per value (_libm on a
 # batch): numpy's own sin, cos, exp and power round differently on some
 # hosts, and the bits must not depend on it. DTLZ6's ** stays numpy's in
-# both routes (_numpy_pow on a row). tail_sum adds fn(x[k]) over k >= 1: on
+# both routes (_pow on a row). tail_sum adds fn(x[k]) over k >= 1: on
 # a batch numpy's sum along each row, which adds fewer than 8 terms from
 # left to right and more pairwise; on a row a running sum from the left, so
 # the two routes give the same bits while the tail has fewer than 8 terms.
-
-
-def _libm(fn, a: np.ndarray, *args) -> np.ndarray:
-    values = a.ravel().tolist()
-    out = map(fn, values, *(repeat(arg, len(values)) for arg in args))
-    return np.fromiter(out, float, len(values)).reshape(a.shape)
 
 
 def _array_tail_sum(x: np.ndarray, fn=None) -> np.ndarray:
@@ -122,10 +115,6 @@ def _row_tail_sum(x: list, fn=None) -> float:
     return total
 
 
-def _numpy_pow(v: float, exponent: float) -> float:
-    return (np.array([v]) ** exponent).item()  # numpy's ** gives the same bits at every length
-
-
 _ARRAY = SimpleNamespace(
     sqrt=np.sqrt, sin=partial(_libm, math.sin), cos=partial(_libm, math.cos),
     exp=partial(_libm, math.exp), pow=partial(_libm, math.pow), numpy_pow=np.power,
@@ -133,7 +122,7 @@ _ARRAY = SimpleNamespace(
 )
 _ROW = SimpleNamespace(
     sqrt=math.sqrt, sin=math.sin, cos=math.cos, exp=math.exp, pow=math.pow,
-    numpy_pow=_numpy_pow,
+    numpy_pow=lambda v, exponent: _pow([v], exponent)[0],
     where=lambda cond, a, b: a if cond else b,
     abs=abs,
     maximum=lambda a, b: a if a > b or a != a else b,  # np.maximum, signed zeros included

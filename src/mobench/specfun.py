@@ -11,7 +11,9 @@ chooses between them, for speed only: a 0-d input or a small array runs the
 scalar kernel value by value, where it beats numpy's per-call dispatch; a
 larger array runs the array kernel. The module also holds the one [0, 1]
 input check (`check_unit`) that the transform, problem and instance layers
-share.
+share, and the per-value helpers of the problem and operator layers: `_libm`
+applies a math-module function to each value of an array, and `_pow` is
+numpy's ** on Python floats.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -123,9 +126,16 @@ def _betainc_scalar(a: float, b: float, x: float) -> float:
     return max(0.0, 1.0 - math.exp(lbt) * _lentz_cf(cf_ba, xc, b, a) / b)
 
 
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """fn, a function of the math module, applied to each value of the 1-d x."""
-    return np.fromiter(map(fn, x.tolist()), float, x.size)
+def _libm(fn, a: np.ndarray, *args) -> np.ndarray:
+    """fn, a function of the math module, applied to each value of a; args are its further arguments."""
+    values = a.ravel().tolist()
+    out = map(fn, values, *(repeat(arg, len(values)) for arg in args))
+    return np.fromiter(out, float, len(values)).reshape(a.shape)
+
+
+def _pow(values: list[float], exponent: float) -> list[float]:
+    """numpy's ** on Python floats; it gives the same bits at every array length."""
+    return (np.array(values) ** exponent).tolist()
 
 
 def _lentz_cf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:

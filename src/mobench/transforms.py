@@ -41,6 +41,11 @@ _ROW_MAX_DIM = 7  # one row of at most this many coordinates may run on Python f
 IDENTITY = "identity"
 BETA_CDF = "beta_cdf"
 SPHERED_ROTATION = "sphered_rotation"
+_CONFIG_KEYS = {  # the keys each kind's JSON form may hold
+    IDENTITY: {"kind"},
+    BETA_CDF: {"kind", "alpha", "beta"},
+    SPHERED_ROTATION: {"kind", "dim", "seed"},
+}
 
 
 @dataclass(frozen=True)
@@ -153,6 +158,10 @@ class TransformSpec:
         if not isinstance(cfg, dict) or "kind" not in cfg:
             raise ConfigError(f"transform config must be a dict with 'kind': {cfg!r}")
         kind = cfg["kind"]
+        if kind not in (IDENTITY, BETA_CDF, SPHERED_ROTATION):
+            raise ConfigError(f"unknown transform kind {kind!r}")
+        if not set(cfg) <= _CONFIG_KEYS[kind]:
+            raise ConfigError(f"unknown keys in {kind} config: {cfg!r}")
         if kind == IDENTITY:
             return TransformSpec.identity()
         if kind == BETA_CDF:
@@ -160,18 +169,14 @@ class TransformSpec:
                 return TransformSpec.beta_cdf(float(cfg["alpha"]), float(cfg["beta"]))
             except KeyError as exc:
                 raise ConfigError(f"beta_cdf config needs alpha and beta: {cfg!r}") from exc
-        if kind == SPHERED_ROTATION:
-            cfg_dim = cfg.get("dim", dim)
-            if cfg_dim is None:
-                raise ConfigError(f"sphered_rotation config needs a dim: {cfg!r}")
-            if dim is not None and cfg_dim != dim:
-                raise ConfigError(
-                    f"sphered_rotation dim {cfg_dim} does not match problem dim {dim}"
-                )
-            if "seed" not in cfg:
-                raise ConfigError(f"sphered_rotation config needs a seed: {cfg!r}")
-            return TransformSpec.sphered_rotation(dim=int(cfg_dim), seed=int(cfg["seed"]))
-        raise ConfigError(f"unknown transform kind {kind!r}")
+        cfg_dim = cfg.get("dim", dim)  # a sphered rotation
+        if cfg_dim is None:
+            raise ConfigError(f"sphered_rotation config needs a dim: {cfg!r}")
+        if dim is not None and cfg_dim != dim:
+            raise ConfigError(f"sphered_rotation dim {cfg_dim} does not match problem dim {dim}")
+        if "seed" not in cfg:
+            raise ConfigError(f"sphered_rotation config needs a seed: {cfg!r}")
+        return TransformSpec.sphered_rotation(dim=int(cfg_dim), seed=int(cfg["seed"]))
 
 
 def random_rotation(dim: int, seed: int) -> RotationMatrix:

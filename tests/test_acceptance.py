@@ -26,7 +26,6 @@ from mobench.algorithms import (
 )
 from mobench.harness import (
     ExperimentConfig,
-    compute_boxes,
     compute_run_rows,
     emit_runs_csv,
     execute,
@@ -92,7 +91,7 @@ def rotation_study():
     t0 = time.perf_counter()
     summaries = execute(expand_matrix(cfg), parallelism=PARALLEL)
     elapsed = time.perf_counter() - t0
-    rows = compute_run_rows(summaries, compute_boxes(summaries))
+    rows = compute_run_rows(summaries)
     return rows, elapsed
 
 
@@ -111,7 +110,7 @@ def beta_grid_study():
     t0 = time.perf_counter()
     summaries = execute(expand_matrix(cfg), parallelism=PARALLEL)
     elapsed = time.perf_counter() - t0
-    rows = compute_run_rows(summaries, compute_boxes(summaries))
+    rows = compute_run_rows(summaries)
     return rows, elapsed
 
 
@@ -317,7 +316,7 @@ def test_criterion_06_random_search_invariances():
         base_seed=0,
     )
     summaries = execute(expand_matrix(rot_cfg), parallelism=PARALLEL)
-    rows = compute_run_rows(summaries, compute_boxes(summaries))
+    rows = compute_run_rows(summaries)
     elapsed = time.perf_counter() - t0
     per_instance = {}
     for r in rows:
@@ -399,8 +398,8 @@ def test_criterion_09_aggregation_consistency(tmp_path):
     jobs = expand_matrix(cfg)
     seq = execute(jobs, parallelism=1)
     par = execute(jobs, parallelism=8)
-    rows_seq = compute_run_rows(seq, compute_boxes(seq))
-    rows_par = compute_run_rows(par, compute_boxes(par))
+    rows_seq = compute_run_rows(seq)
+    rows_par = compute_run_rows(par)
     csv_a = emit_runs_csv(rows_seq, tmp_path / "a.csv").read_bytes()
     csv_b = emit_runs_csv(rows_par, tmp_path / "b.csv").read_bytes()
     if csv_a != csv_b:
@@ -465,7 +464,7 @@ def test_criterion_10_desk_scale_reproduction(tmp_path):
     errors = [s for s in summaries if s.error is not None]
     if errors:
         failures.append(f"{len(errors)} jobs failed in the mini matrix")
-    rows = compute_run_rows(summaries, compute_boxes(summaries))
+    rows = compute_run_rows(summaries)
     emit_runs_csv(rows, tmp_path / "runs.csv")
     for problem in ("dtlz1-d2", "zdt3-d2"):
         for algo in ("random_search", "nsga2"):

@@ -1,4 +1,4 @@
-"""Golden outputs: raw logs, sidecars and runs.csv of fixed jobs, byte for byte.
+"""Golden outputs: raw logs, sidecars, runs.csv and reports of fixed jobs, byte for byte.
 
 The hashes pin the exact output of a small job set that covers every
 algorithm at populations 10 and 100, the identity, a sphered rotation, a
@@ -9,8 +9,11 @@ on purpose must say so, bump the version and update the hashes here.
 
 import hashlib
 
+import pytest
+
 from mobench.algorithms import AlgoConfig
-from mobench.harness import Job, compute_boxes, compute_run_rows, emit_runs_csv, execute
+from mobench.cli import main as cli_main
+from mobench.harness import Job, compute_run_rows, emit_runs_csv, execute
 from mobench.instance import ProblemInstance
 from mobench.problems import parse_problem_id
 from mobench.transforms import TransformSpec
@@ -89,6 +92,25 @@ GOLDEN_SHA256 = {
 
 RUNS_CSV_SHA256 = "987d1ae1f773573a80e79161304c465def5ff094e6248386486325076c86388e"
 
+# the reports the golden runs support; the relative report needs identity
+# base runs for every (problem, algorithm, population), which the set lacks
+REPORT_ARGS = {
+    "hv_over_time_zdt3-d2.csv":
+        ["over-time", "--problem", "zdt3-d2", "--transform", "s:rot-seed3__o:id"],
+    "ab_heatmap_zdt3-d2_nsga2_search.csv":
+        ["ab-heatmap", "--problem", "zdt3-d2", "--algo", "nsga2", "--space", "search"],
+    "ab_heatmap_dtlz1-d2_moead_objective.csv":
+        ["ab-heatmap", "--problem", "dtlz1-d2", "--algo", "moead", "--space", "objective"],
+}
+REPORT_SHA256 = {
+    "hv_over_time_zdt3-d2.csv":
+        "9c48156aed3b4807b291f449af2f4cef29be2e7d61d7ae338397d1a70b27ef14",
+    "ab_heatmap_zdt3-d2_nsga2_search.csv":
+        "aa64c66d00bef34506e2d047142e9340701dfe8bc920126ed2b6e2641b816b95",
+    "ab_heatmap_dtlz1-d2_moead_objective.csv":
+        "ca02ba5d960ca306fa0126c215332c36b83596a967807cae6d62590313b9efb6",
+}
+
 
 def golden_jobs() -> list[Job]:
     jobs = []
@@ -107,12 +129,23 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_golden_outputs(tmp_path):
-    summaries = execute(golden_jobs(), output_dir=str(tmp_path))
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    summaries = execute(golden_jobs(), output_dir=str(out))
     assert [s.error for s in summaries] == [None] * len(GOLDEN_JOBS)
-    runs_csv = emit_runs_csv(
-        compute_run_rows(summaries, compute_boxes(summaries)), tmp_path / "runs.csv"
-    )
-    got = {p.name: _sha256(p) for p in sorted((tmp_path / "runs").iterdir())}
+    emit_runs_csv(compute_run_rows(summaries), out / "runs.csv")
+    return out
+
+
+def test_golden_outputs(golden_dir):
+    got = {p.name: _sha256(p) for p in sorted((golden_dir / "runs").iterdir())}
     assert got == GOLDEN_SHA256
-    assert _sha256(runs_csv) == RUNS_CSV_SHA256
+    assert _sha256(golden_dir / "runs.csv") == RUNS_CSV_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_golden_reports(golden_dir, name):
+    argv = ["report", "--in", str(golden_dir), "--kind", *REPORT_ARGS[name]]
+    assert cli_main(argv) == 0
+    assert _sha256(golden_dir / "reports" / name) == REPORT_SHA256[name]

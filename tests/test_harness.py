@@ -24,7 +24,6 @@ from mobench.harness import (
     Job,
     RunSummary,
     checkpoint_grid,
-    compute_boxes,
     compute_run_rows,
     emit_errors_csv,
     emit_runs_csv,
@@ -38,7 +37,14 @@ from mobench.harness import (
     transform_family,
 )
 from mobench.algorithms import ALGORITHM_NAMES, AlgoConfig, RunResult, run_algorithm
-from mobench.indicators import NormalizationBox, ParetoArchive, accepted_history, normalized_hv
+from mobench.indicators import (
+    NormalizationBox,
+    ParetoArchive,
+    accepted_history,
+    compute_normalization,
+    normalized_hv,
+    normalized_hv_prefixes,
+)
 from mobench.instance import ProblemInstance
 from mobench.problems import ProblemId
 from mobench.transforms import TransformSpec
@@ -155,6 +161,43 @@ class TestExpandMatrix:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"problems": ["zdt1-d2"], "algos": []})
 
+    @pytest.mark.parametrize(
+        "algorithms",
+        [
+            [{"name": "nsga2", "popsize": 10}],  # a misspelt population
+            [{"name": "nsga2", "population": 10, "budget": 40}],  # no per-algorithm budget
+            [{"name": "nsga2", "population": 1}],
+            [{"name": "nsga2", "population": "ten"}],
+            [{"name": "anneal"}],
+        ],
+    )
+    def test_invalid_algorithm_entry(self, algorithms):
+        with pytest.raises(ConfigError):
+            small_config(algorithms=algorithms)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"kind": "beta_cdf", "alpha": 0.5, "beta": 2.0, "sead": 4},
+            {"kind": "identity", "seed": 4},
+            {"kind": "sphered_rotation", "seed": 4, "angle": 0.3},
+            {"kind": "beta_cdf_grid", "values": [0.5, 2.0], "alpha": 1.0},
+        ],
+    )
+    def test_unknown_transform_key(self, entry):
+        with pytest.raises(ConfigError):
+            expand_matrix(small_config(search_transforms=[entry]))
+
+    @pytest.mark.parametrize("budget", [50, "lots"])  # below the population; not a number
+    def test_invalid_budget_exits_1(self, tmp_path, capsys, budget):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(
+            problems=["zdt1-d2"], search_transforms=[{"kind": "identity"}],
+            algorithms=[{"name": "nsga2", "population": 100}], budget=budget,
+        )))
+        assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert "config error" in capsys.readouterr().err
+
 
 class TestExecute:
     def test_parallelism_equivalence(self, tmp_path):
@@ -163,8 +206,8 @@ class TestExecute:
         par = execute(jobs, parallelism=4)
         # by pickled bytes: the accepted arrays compare by bits, dtype and shape too
         assert [pickle.dumps(s) for s in seq] == [pickle.dumps(s) for s in par]
-        rows_seq = compute_run_rows(seq, compute_boxes(seq))
-        rows_par = compute_run_rows(par, compute_boxes(par))
+        rows_seq = compute_run_rows(seq)
+        rows_par = compute_run_rows(par)
         p1 = emit_runs_csv(rows_seq, tmp_path / "a.csv")
         p2 = emit_runs_csv(rows_par, tmp_path / "b.csv")
         assert p1.read_bytes() == p2.read_bytes()
@@ -286,10 +329,7 @@ class TestExecute:
 
 @pytest.fixture(scope="module")
 def executed():
-    summaries = execute(expand_matrix(small_config()))
-    boxes = compute_boxes(summaries)
-    rows = compute_run_rows(summaries, boxes)
-    return summaries, boxes, rows
+    return compute_run_rows(execute(expand_matrix(small_config())))
 
 
 @pytest.fixture(scope="module")
@@ -309,12 +349,12 @@ def grid_rows():
         )
     )
     summaries = execute(expand_matrix(cfg), parallelism=4)
-    return compute_run_rows(summaries, compute_boxes(summaries))
+    return compute_run_rows(summaries)
 
 
 class TestRowsAndCsv:
     def test_header_schema(self, executed, tmp_path):
-        _, _, rows = executed
+        rows = executed
         path = emit_runs_csv(rows, tmp_path / "runs.csv")
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# mobench ")
@@ -322,20 +362,20 @@ class TestRowsAndCsv:
         assert len(lines) == 2 + len(rows)
 
     def test_emit_idempotent(self, executed, tmp_path):
-        _, _, rows = executed
+        rows = executed
         a = emit_runs_csv(rows, tmp_path / "a.csv").read_bytes()
         b = emit_runs_csv(rows, tmp_path / "b.csv").read_bytes()
         assert a == b
 
     def test_random_search_pop_equals_archive(self, executed):
-        _, _, rows = executed
+        rows = executed
         rs = [r for r in rows if r.algorithm == "random_search"]
         assert rs
         for r in rs:
             assert r.final_archive_hv == pytest.approx(r.final_pop_hv, abs=1e-15)
 
     def test_hv_columns_in_unit_range(self, executed):
-        _, _, rows = executed
+        rows = executed
         for r in rows:
             assert 0.0 <= r.final_pop_hv <= r.final_archive_hv <= 1.0
             assert all(0.0 <= h <= 1.0 for h in r.checkpoint_hvs)
@@ -381,12 +421,15 @@ class TestCheckpointsMatchArchiveReplay:
             )
         )
         summaries = execute(jobs)
-        boxes = compute_boxes(summaries)
-        rows = compute_run_rows(summaries, boxes)
+        rows = compute_run_rows(summaries)
         assert len(rows) == len(jobs) == 16
+        boxes = {}  # the reference box: each problem's pooled accepted points
+        for s in summaries:
+            boxes.setdefault(s.problem, []).append(s.accepted[:, 1:])
         for job, row in zip(jobs, rows):
             f_orig = run_algorithm(job.instance, job.algo).f_orig
-            expected = replayed_checkpoint_hvs(f_orig, 10, boxes[row.problem])
+            box = compute_normalization(boxes[row.problem])
+            expected = replayed_checkpoint_hvs(f_orig, 10, box)
             assert row.checkpoint_hvs == expected
             assert row.final_archive_hv == expected[-1]
 
@@ -400,13 +443,10 @@ class TestCheckpointsMatchArchiveReplay:
         f_orig = np.array(cells, dtype=float) / 10.0
         population = min(population, len(f_orig))
         box = NormalizationBox(ideal=(0.2, 0.1), nadir=(0.9, 1.0))
-        summary = RunSummary(
-            problem="p", instance="i", search_t={}, objective_t={}, algorithm="a",
-            population=population, budget=len(f_orig), seed=0,
-            accepted=np.array(accepted_history(f_orig), dtype=float).reshape(-1, 3),
-        )
-        (row,) = compute_run_rows([summary], {"p": box})
-        assert row.checkpoint_hvs == replayed_checkpoint_hvs(f_orig, population, box)
+        accepted = np.array(accepted_history(f_orig), dtype=float).reshape(-1, 3)
+        prefix = np.searchsorted(accepted[:, 0], checkpoint_grid(population, len(f_orig)), side="right")
+        hvs = normalized_hv_prefixes(accepted[:, 1:], box, prefix)
+        assert hvs == replayed_checkpoint_hvs(f_orig, population, box)
 
 
 class TestReports:
@@ -534,7 +574,7 @@ def load_runs_from_logs(output_dir):
             f_orig = parsed_f_orig(meta_path.with_suffix(".log"))
             summary.accepted = np.array(accepted_history(f_orig), dtype=float).reshape(-1, 3)
         summaries.append(summary)
-    rows = compute_run_rows(summaries, compute_boxes(summaries))
+    rows = compute_run_rows(summaries)
     return rows, [s.problem for s in summaries if s.error is not None]
 
 
@@ -750,7 +790,7 @@ class TestCli:
         ]
         summaries = execute(jobs, output_dir=str(tmp_path))
         # as `mobench run` does: the failed run gets a sidecar and no row
-        emit_runs_csv(compute_run_rows(summaries, compute_boxes(summaries)), tmp_path / "runs.csv")
+        emit_runs_csv(compute_run_rows(summaries), tmp_path / "runs.csv")
         capsys.readouterr()
         assert cli_main(["report", "--in", str(tmp_path), "--kind", "relative"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "read 2 runs, 1 failed"
