@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .algorithms import ALGORITHM_NAMES
 from .errors import ConfigError, ReportError
 from .harness import (
     OUTPUT_DIR_ENV,
@@ -154,7 +155,7 @@ def _cmd_list(_args) -> int:
     print('  {"kind":"beta_cdf","alpha":A,"beta":B}')
     print('  {"kind":"sphered_rotation","dim":D,"seed":S}   (dim optional in configs)')
     print('  {"kind":"beta_cdf_grid","values":[...]}        (config shorthand)')
-    print("algorithms: random_search nsga2 smsemoa moead")
+    print("algorithms:", *ALGORITHM_NAMES)
     return 0
 
 

@@ -30,7 +30,7 @@ from .indicators import (
 )
 from .instance import ProblemInstance
 from .problems import ProblemId, list_problems, parse_problem_id
-from .transforms import BETA_CDF, IDENTITY, SPHERED_ROTATION, TransformSpec
+from .transforms import BETA_CDF, IDENTITY, SPHERED_ROTATION, TransformSpec, _integer, _number
 
 __all__ = [
     "ExperimentConfig",
@@ -68,10 +68,13 @@ RUNS_CSV_COLUMNS = (
 
 @dataclass
 class ExperimentConfig:
+    """The one statement of the config's fields and defaults; each value is
+    checked against its JSON type, never converted."""
+
     problems: list[str]
-    search_transforms: list[dict]
-    objective_transforms: list[dict]
     algorithms: list[dict]
+    search_transforms: list[dict] = field(default_factory=list)
+    objective_transforms: list[dict] = field(default_factory=list)
     budget: int = 5000
     repetitions: int = 10
     base_seed: int = 0
@@ -79,6 +82,13 @@ class ExperimentConfig:
     combined_grid: bool = False
 
     def __post_init__(self):
+        for name in ("budget", "repetitions", "base_seed"):
+            _integer(getattr(self, name), name)
+        for name, types in (("combined_grid", bool), ("output_dir", (str, type(None))),
+                            ("problems", list), ("algorithms", list),
+                            ("search_transforms", list), ("objective_transforms", list)):
+            if not isinstance(getattr(self, name), types):
+                raise ConfigError(f"{name} has the wrong JSON type: {getattr(self, name)!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be at least 1")
         if not self.problems:
@@ -92,34 +102,24 @@ class ExperimentConfig:
                 raise ConfigError(f"algorithm entries need a name: {algo!r}")
             if set(algo) - {"name", "population"}:
                 raise ConfigError(f"algorithm entries take a name and a population: {algo!r}")
+        self.algorithms = [{"population": 100, **algo} for algo in self.algorithms]
+        for algo in self.algorithms:
             try:  # the seed plays no part in validity
-                AlgoConfig(algo["name"], int(algo.get("population", 100)), self.budget, 0)
-            except (TypeError, ValueError) as exc:
+                AlgoConfig(algo["name"], _integer(algo["population"], "population"), self.budget, 0)
+            except ValueError as exc:
                 raise ConfigError(f"invalid algorithm entry {algo!r}: {exc}") from exc
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a config is a JSON object, got {raw!r}")
         unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        try:
-            return ExperimentConfig(
-                problems=list(raw["problems"]),
-                search_transforms=list(raw.get("search_transforms", [])),
-                objective_transforms=list(raw.get("objective_transforms", [])),
-                algorithms=list(raw["algorithms"]),
-                budget=int(raw.get("budget", 5000)),
-                repetitions=int(raw.get("repetitions", 10)),
-                base_seed=int(raw.get("base_seed", 0)),
-                output_dir=raw.get("output_dir"),
-                combined_grid=bool(raw.get("combined_grid", False)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config field: {exc}") from exc
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:  # a count or seed that is not an integer
-            raise ConfigError(f"invalid config field: {exc}") from exc
+        missing = {"problems", "algorithms"} - set(raw)
+        if missing:
+            raise ConfigError(f"missing config fields: {sorted(missing)}")
+        return ExperimentConfig(**raw)
 
     @staticmethod
     def from_file(path: str | Path) -> "ExperimentConfig":
@@ -170,55 +170,39 @@ class RunRow:
     objective_t: dict
 
 
-def _resolve_problem_selector(sel: str) -> list[ProblemId]:
-    text = sel.strip().lower()
-    dim = None
-    if "-d" in text:
-        text, _, dim_part = text.rpartition("-d")
-        try:
-            dim = int(dim_part)
-        except ValueError as exc:
-            raise ConfigError(f"bad dimension in selector {sel!r}") from exc
-    catalog = list_problems()
-    if text == "all":
-        hits = [p for p in catalog if dim is None or p.dim == dim]
-    elif text in ("zdt", "dtlz", "mmf"):
-        hits = [p for p in catalog if p.suite == text and (dim is None or p.dim == dim)]
-    else:
-        hits = [
-            p
-            for p in catalog
-            if f"{p.suite}{p.index}" == text and (dim is None or p.dim == dim)
-        ]
-    if not hits:
-        raise ConfigError(f"problem selector {sel!r} matches nothing")
-    return hits
-
-
 def resolve_problems(selectors: Iterable[str]) -> list[ProblemId]:
+    """The problems the selectors name, in selector order, each once.
+
+    A selector is `all`, a suite (`zdt`) or a suite and index (`zdt1`),
+    optionally followed by `-d<dim>`; case and outer blanks do not count.
+    """
+    names = {  # each problem's selectors, in catalog order
+        p: {n + d for n in ("all", p.suite, f"{p.suite}{p.index}") for d in ("", f"-d{p.dim}")}
+        for p in list_problems()
+    }
     out: list[ProblemId] = []
     for sel in selectors:
-        for pid in _resolve_problem_selector(sel):
-            if pid not in out:
-                out.append(pid)
+        text = sel.strip().lower() if isinstance(sel, str) else None
+        hits = [p for p, named_by in names.items() if text in named_by]
+        if not hits:
+            raise ConfigError(f"problem selector {sel!r} matches nothing")
+        out += [p for p in hits if p not in out]
     return out
 
 
 def _expand_transform_entries(entries: Sequence[dict]) -> list[dict]:
-    """Expand grid shorthands into plain transform configs."""
+    """Expand grid shorthands into plain transform configs; every other entry
+    is left to TransformSpec.from_config."""
     out: list[dict] = []
     for entry in entries:
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise ConfigError(f"transform entries need a kind: {entry!r}")
-        if entry["kind"] == "beta_cdf_grid":
-            values = entry.get("values")
-            if not values or set(entry) != {"kind", "values"}:
-                raise ConfigError(f"beta_cdf_grid takes only values, a non-empty list: {entry!r}")
-            for a in values:
-                for b in values:
-                    out.append({"kind": BETA_CDF, "alpha": float(a), "beta": float(b)})
-        else:
+        if not isinstance(entry, dict) or entry.get("kind") != "beta_cdf_grid":
             out.append(entry)
+            continue
+        values = entry.get("values")
+        if set(entry) != {"kind", "values"} or not isinstance(values, list) or not values:
+            raise ConfigError(f"beta_cdf_grid takes only values, a non-empty list: {entry!r}")
+        values = [_number(v, "beta_cdf_grid value") for v in values]
+        out += [{"kind": BETA_CDF, "alpha": a, "beta": b} for a in values for b in values]
     return out
 
 
@@ -263,12 +247,10 @@ def expand_matrix(cfg: ExperimentConfig) -> list[Job]:
                 continue
             seen.add(inst.descriptor)
             for algo in cfg.algorithms:
-                population = int(algo.get("population", 100))
+                name, population = algo["name"], algo["population"]
                 for rep in range(cfg.repetitions):
-                    seed = _job_seed(
-                        cfg.base_seed, inst.descriptor, algo["name"], population, rep
-                    )
-                    jobs.append(Job(inst, AlgoConfig(algo["name"], population, cfg.budget, seed)))
+                    seed = _job_seed(cfg.base_seed, inst.descriptor, name, population, rep)
+                    jobs.append(Job(inst, AlgoConfig(name, population, cfg.budget, seed)))
     return jobs
 
 
@@ -295,7 +277,7 @@ def _execute_job(job: Job, output_dir: str | None) -> RunSummary:
     """Run one job; a failure is recorded in the summary, never raised.
 
     With an output directory, every job gets a `.json` sidecar and a
-    successful one also its raw `.log`.
+    successful one also its raw `.log`; a failed one is left no `.log`.
     """
     header = dict(
         problem=str(job.instance.problem),
@@ -326,6 +308,8 @@ def _execute_job(job: Job, output_dir: str | None) -> RunSummary:
             (runs_dir / f"{run_id}.json").write_text(json.dumps(meta), encoding="utf-8")
         except OSError as exc:  # a run that cannot be persisted counts as failed
             summary = RunSummary(**header, error=f"{type(exc).__name__}: {exc}")
+        if summary.error is not None:  # a failed run keeps no log, complete or not
+            (runs_dir / f"{run_id}.log").unlink(missing_ok=True)
     return summary
 
 

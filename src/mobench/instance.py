@@ -65,11 +65,6 @@ class ProblemInstance:
     def descriptor(self) -> str:
         return f"{self.problem}__s:{self.search_t.descriptor()}__o:{self.objective_t.descriptor()}"
 
-    @property
-    def is_base(self) -> bool:
-        """True when both transforms act as the identity."""
-        return self.search_t.is_neutral and self.objective_t.is_neutral
-
 
 def _warp_rows(t: TransformSpec, f: np.ndarray, inverse: bool) -> np.ndarray:
     """Apply the Beta CDF, or its inverse, to the components of the (n, 2)

@@ -48,6 +48,21 @@ _CONFIG_KEYS = {  # the keys each kind's JSON form may hold
 }
 
 
+def _integer(value, name: str) -> int:
+    """A config value that must be a JSON integer: an int that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    """A config value that must be a JSON number: an int or a float, not a
+    bool. It is stored as a float, so 2 and 2.0 name the same transform."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class RotationMatrix:
     """A proper rotation: orthogonal with determinant +1."""
@@ -155,28 +170,24 @@ class TransformSpec:
         `dim` supplies the dimensionality for sphered rotations whose config
         omits it (the harness instantiates one matrix per problem dimension).
         """
-        if not isinstance(cfg, dict) or "kind" not in cfg:
-            raise ConfigError(f"transform config must be a dict with 'kind': {cfg!r}")
-        kind = cfg["kind"]
-        if kind not in (IDENTITY, BETA_CDF, SPHERED_ROTATION):
-            raise ConfigError(f"unknown transform kind {kind!r}")
+        kind = cfg.get("kind") if isinstance(cfg, dict) else None
+        if not isinstance(kind, str) or kind not in _CONFIG_KEYS:
+            raise ConfigError(f"transform config must be a dict with a known kind: {cfg!r}")
         if not set(cfg) <= _CONFIG_KEYS[kind]:
             raise ConfigError(f"unknown keys in {kind} config: {cfg!r}")
         if kind == IDENTITY:
             return TransformSpec.identity()
         if kind == BETA_CDF:
-            try:
-                return TransformSpec.beta_cdf(float(cfg["alpha"]), float(cfg["beta"]))
-            except KeyError as exc:
-                raise ConfigError(f"beta_cdf config needs alpha and beta: {cfg!r}") from exc
-        cfg_dim = cfg.get("dim", dim)  # a sphered rotation
-        if cfg_dim is None:
-            raise ConfigError(f"sphered_rotation config needs a dim: {cfg!r}")
+            if "alpha" not in cfg or "beta" not in cfg:
+                raise ConfigError(f"beta_cdf config needs alpha and beta: {cfg!r}")
+            alpha, beta = _number(cfg["alpha"], "alpha"), _number(cfg["beta"], "beta")
+            return TransformSpec.beta_cdf(alpha, beta)
+        if cfg.get("dim", dim) is None or "seed" not in cfg:  # a sphered rotation
+            raise ConfigError(f"sphered_rotation config needs a seed and a dim: {cfg!r}")
+        cfg_dim = _integer(cfg.get("dim", dim), "sphered_rotation dim")
         if dim is not None and cfg_dim != dim:
             raise ConfigError(f"sphered_rotation dim {cfg_dim} does not match problem dim {dim}")
-        if "seed" not in cfg:
-            raise ConfigError(f"sphered_rotation config needs a seed: {cfg!r}")
-        return TransformSpec.sphered_rotation(dim=int(cfg_dim), seed=int(cfg["seed"]))
+        return TransformSpec.sphered_rotation(dim=cfg_dim, seed=_integer(cfg["seed"], "seed"))
 
 
 def random_rotation(dim: int, seed: int) -> RotationMatrix:

@@ -31,6 +31,7 @@ from mobench.harness import (
     expand_matrix,
     full_matrix_config,
     read_runs,
+    resolve_problems,
     report_ab_heatmap,
     report_hv_over_time,
     report_relative_hv,
@@ -128,6 +129,10 @@ class TestExpandMatrix:
             expand_matrix(small_config(problems=["wfg1-d2"]))
         with pytest.raises(ConfigError):
             expand_matrix(small_config(problems=["mmf1-d10"]))
+        with pytest.raises(ConfigError):  # dimensions are not zero-padded
+            expand_matrix(small_config(problems=["zdt1-d02"]))
+        readme_selectors = ["zdt3-d2", "dtlz", "zdt-d10", "all", "all-d2", " ZDT1-D2 "]
+        assert len(resolve_problems(readme_selectors)) == len(resolve_problems(["all"]))
 
     def test_seeds_deterministic_and_distinct(self):
         jobs1 = expand_matrix(small_config())
@@ -169,11 +174,18 @@ class TestExpandMatrix:
             [{"name": "nsga2", "population": 1}],
             [{"name": "nsga2", "population": "ten"}],
             [{"name": "anneal"}],
+            [{"name": "nsga2", "population": 10.5}],  # a population is an integer, not truncated
+            [{"name": "random_search", "population": True}],  # nor a bool read as 1
         ],
     )
     def test_invalid_algorithm_entry(self, algorithms):
         with pytest.raises(ConfigError):
             small_config(algorithms=algorithms)
+
+    def test_population_default_is_set_once(self):
+        cfg = small_config(algorithms=[{"name": "nsga2"}], budget=200, repetitions=1)
+        assert cfg.algorithms == [{"population": 100, "name": "nsga2"}]
+        assert {j.algo.population for j in expand_matrix(cfg)} == {100}
 
     @pytest.mark.parametrize(
         "entry",
@@ -188,15 +200,61 @@ class TestExpandMatrix:
         with pytest.raises(ConfigError):
             expand_matrix(small_config(search_transforms=[entry]))
 
-    @pytest.mark.parametrize("budget", [50, "lots"])  # below the population; not a number
-    def test_invalid_budget_exits_1(self, tmp_path, capsys, budget):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(dict(
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"kind": "beta_cdf", "alpha": True, "beta": 2.0},  # not a neutral Beta(1, 2)
+            {"kind": "beta_cdf", "alpha": "0.5", "beta": 2.0},
+            {"kind": "sphered_rotation", "seed": 3.9},  # not rot-seed3
+            {"kind": "sphered_rotation", "seed": 3, "dim": 2.0},
+            {"kind": "beta_cdf_grid", "values": ["0.5"]},
+            {"kind": "beta_cdf_grid", "values": [0.5, True]},
+        ],
+    )
+    def test_transform_value_of_wrong_type(self, entry):
+        with pytest.raises(ConfigError):
+            expand_matrix(small_config(search_transforms=[entry]))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            pytest.param("budget", 50, id="50"),  # below the population
+            pytest.param("budget", "lots", id="lots"),  # not a number
+            pytest.param("budget", 100.9, id="100.9"),  # not truncated to 100
+            pytest.param("repetitions", True, id="repetitions-true"),  # not read as 1
+            pytest.param("base_seed", "0", id="base_seed-str"),
+            pytest.param("combined_grid", "false", id="combined_grid-str"),  # not truthy
+            pytest.param("problems", "zdt1-d2", id="problems-str"),
+        ],
+    )
+    def test_invalid_budget_exits_1(self, tmp_path, capsys, field, value):
+        raw = dict(
             problems=["zdt1-d2"], search_transforms=[{"kind": "identity"}],
-            algorithms=[{"name": "nsga2", "population": 100}], budget=budget,
-        )))
+            objective_transforms=[{"kind": "beta_cdf", "alpha": 2.0, "beta": 0.5}],
+            algorithms=[{"name": "nsga2", "population": 100}], budget=100, repetitions=1,
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**raw, field: value}))
         assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # rejected before any run
+
+    def test_python_built_config_is_checked(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(problems=["zdt1-d2"], algorithms=[{"name": "nsga2"}],
+                             search_transforms=[{"kind": "identity"}], repetitions="3")
+
+    def test_shipped_configs_expand(self):
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        shipped = {
+            "beta-grid-zdt3": ExperimentConfig.from_file(root / "configs" / "beta-grid-zdt3.json"),
+            "rotation-study": ExperimentConfig.from_file(root / "configs" / "rotation-study.json"),
+            "README": ExperimentConfig.from_dict(json.loads(example)),
+        }
+        counts = {name: len(expand_matrix(cfg)) for name, cfg in shipped.items()}
+        assert counts == {"beta-grid-zdt3": 1000, "rotation-study": 200, "README": 18720}
 
 
 class TestExecute:
@@ -260,6 +318,9 @@ class TestExecute:
         summaries = execute(jobs, output_dir=str(tmp_path))
         assert summaries[0].error.startswith("IsADirectoryError")
         assert summaries[1].error is None  # the batch goes on
+        # the failed run's complete log is removed; the other run keeps its own
+        assert not (tmp_path / "runs" / f"{run_id}.log").exists()
+        assert len(list((tmp_path / "runs").glob("*.log"))) == 1
 
     def test_persist_and_reload(self, tmp_path):
         jobs = expand_matrix(small_config())

@@ -122,11 +122,6 @@ class TestEvaluateInstance:
         assert inst.descriptor == "dtlz1-d2__s:rot-seed3__o:id"
         assert make_instance().descriptor == "zdt1-d2__s:id__o:id"
 
-    def test_is_base(self):
-        assert make_instance().is_base
-        assert make_instance(search=TransformSpec.beta_cdf(1.0, 1.0)).is_base
-        assert not make_instance(search=TransformSpec.beta_cdf(2.0, 1.0)).is_base
-
     def test_invariant_errors(self):
         with pytest.raises(ParameterError):
             make_instance(objective=TransformSpec.sphered_rotation(dim=2, seed=1))
