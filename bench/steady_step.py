@@ -12,8 +12,8 @@ time. This script times, best of --repeats:
 - one binary tournament (`_tournament`) over 100 rows;
 - one SMS-EMOA drop, the first smallest hypervolume contributor of a
   front of 11 and of 101 members;
-- one NSGA-II generation's variation (`nsga2_offspring`, or the pair by
-  pair loop of a tree without it) at populations 10 and 100, d = 2 and 10;
+- one NSGA-II generation's variation (`nsga2_offspring`) at populations 10
+  and 100, d = 2 and 10;
 - the 16 runs of perfbench's steady-state-ranking workload (dtlz1-d2 and
   zdt3-d2; the identity and rotation seed 1; SMS-EMOA and MOEA/D at
   populations 10 and 100; budget 1000), one after another;
@@ -107,19 +107,6 @@ class Tree:
         return self.inst.ProblemInstance(pid, spec.from_config(search, dim=pid.dim),
                                          spec.from_config(objective))
 
-    def drop(self, keys, f_seen):
-        """The position SMS-EMOA drops from a front of ascending (f1, f2, row)
-        keys, as this tree's runner finds it."""
-        alg = self.alg
-        if hasattr(alg, "_smallest_contributor"):
-            return lambda: alg._smallest_contributor(keys)
-        rows = [row for _, _, row in keys]
-
-        def drop():  # the argmin over the front's f_seen rows against their max + 1
-            front = f_seen[rows]
-            return int(np.argmin(alg.hv_contributions_2d(front, front.max(axis=0) + 1.0)))
-        return drop
-
 
 def one_row_cases(tree: Tree, rows: np.ndarray):
     out = {}
@@ -144,11 +131,10 @@ def one_row_cases(tree: Tree, rows: np.ndarray):
 
 
 def sms_front(rng, n: int):
-    """A front of n members on a coarse grid, so with exact duplicates: its
-    ascending (f1, f2, row) keys and the f_seen rows they name."""
+    """The ascending (f1, f2, row) keys of a front of n members on a coarse
+    grid, so with exact duplicates."""
     f1 = np.round(rng.random(n) * 40) / 40
-    f_seen = np.column_stack([f1, (1.0 - f1) ** 2])
-    return sorted((a, b, row) for row, (a, b) in enumerate(f_seen.tolist())), f_seen
+    return sorted(zip(f1.tolist(), ((1.0 - f1) ** 2).tolist(), range(n)))
 
 
 def step_cases(tree: Tree, seed: int):
@@ -165,10 +151,11 @@ def step_cases(tree: Tree, seed: int):
     draw = np.random.default_rng(seed)
     out["tournament.p100"] = (lambda: alg._tournament(pop, rank, crowd, draw), winners)
     for n in (11, 101):
-        timed = tree.drop(*sms_front(rng, n))
-        checks = [tree.drop(*sms_front(rng, n)) for _ in range(40)]
+        timed, *checked = (sms_front(rng, n) for _ in range(41))
         out[f"smsemoa_drop.front{n}"] = (
-            timed, lambda checks=checks: json.dumps([c() for c in checks]).encode())
+            lambda keys=timed: alg._smallest_contributor(keys),
+            lambda checked=checked: json.dumps(
+                [alg._smallest_contributor(keys) for keys in checked]).encode())
     return out
 
 
@@ -182,19 +169,9 @@ def generation_cases(tree: Tree, seed: int):
             x = rng.random((n, d))
             rank = rng.integers(0, 3, n)
             crowd = np.where(rng.random(n) < 0.2, np.inf, rng.random(n))
-            if hasattr(alg, "nsga2_offspring"):
-                def breed(draw, x=x, rank=rank, crowd=crowd, n=n):
-                    return alg.nsga2_offspring(x, rank, crowd, n, draw)
-            else:  # the pair by pair loop that nsga2_offspring replaced
-                rows = list(range(n))
-                by_row = dict(enumerate(rank.tolist())), dict(enumerate(crowd.tolist()))
 
-                def breed(draw, x=x, rows=rows, by_row=by_row, n=n):
-                    children = []
-                    while len(children) < n:
-                        c1, c2 = alg._variation_pair(x, rows, *by_row, draw)
-                        children += (alg._mutate(c1, draw), alg._mutate(c2, draw))
-                    return np.array(children[:n])
+            def breed(draw, x=x, rank=rank, crowd=crowd, n=n):
+                return alg.nsga2_offspring(x, rank, crowd, n, draw)
 
             def children(breed=breed):
                 draw = np.random.default_rng(seed)

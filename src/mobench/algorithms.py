@@ -301,19 +301,16 @@ def crowding_distance(front_objectives) -> np.ndarray:
     return dist
 
 
-def nsga2_survival(objectives, capacity: int, fronts=None) -> list[int]:
+def nsga2_survival(objectives, capacity: int) -> list[int]:
     """Indices surviving (mu+mu) selection by rank, then crowding distance.
 
     They come front by front: each whole front as fast_nondominated_sort
     lists it, then the survivors of the last front by decreasing crowding
-    distance. fronts, when the caller has them, are
-    fast_nondominated_sort(objectives).
+    distance.
     """
-    if fronts is None:
-        fronts = fast_nondominated_sort(objectives)
     f = np.asarray(objectives, dtype=float)
     chosen: list[int] = []
-    for front in fronts:
+    for front in fast_nondominated_sort(f):
         if len(chosen) == capacity:
             break
         if len(chosen) + len(front) <= capacity:
@@ -325,27 +322,6 @@ def nsga2_survival(objectives, capacity: int, fronts=None) -> list[int]:
         chosen.extend(np.asarray(front)[order[:need]].tolist())
         break
     return chosen
-
-
-def _survivor_fronts(fronts: list[list[int]], objs: np.ndarray) -> list[list[int]]:
-    """fast_nondominated_sort(objs), where objs holds the survivors that
-    nsga2_survival chose from points whose fronts were fronts, in its order.
-
-    A survivor's front among the survivors is its front among all points:
-    whole fronts survive, and the last one's survivors stay one front. The
-    whole fronts come in the sort's order; the last front's survivors come
-    by crowding and go back to the sort's order, (f1, f2) with ties by
-    position.
-    """
-    out, start = [], 0
-    for front in fronts:
-        stop = min(start + len(front), len(objs))
-        out.append(list(range(start, stop)))
-        start = stop
-        if start == len(objs):
-            break
-    out[-1] = [p for _, p in sorted(zip(objs[out[-1]].tolist(), out[-1]))]
-    return out
 
 
 def _insert_into_fronts(fronts: list[list[tuple]], c: tuple) -> tuple[int, int]:
@@ -535,20 +511,21 @@ def _mutate(c, rng) -> np.ndarray:
 def run_nsga2(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
     """Generational NSGA-II with binary tournaments on (rank, crowding).
 
-    Each generation's children come from one nsga2_offspring call. A
-    final generation that does not fit into the budget is evaluated and
-    logged (truncated) but skips environmental selection, so the final
-    population is the last complete survivor set.
+    Each generation sorts its population afresh for the tournaments' ranks
+    and crowding distances, and its children come from one nsga2_offspring
+    call; nsga2_survival sorts the union of parents and children. A final
+    generation that does not fit into the budget is evaluated and logged
+    (truncated) but skips environmental selection, so the final population
+    is the last complete survivor set.
     """
     rng = np.random.default_rng(cfg.seed)
     state = _RunState(inst, cfg.budget)
     n = cfg.population
     pop = state.evaluate(rng.random((n, inst.problem.dim)))
-    objs = state.f_seen[pop]
-    fronts = fast_nondominated_sort(objs)  # positions in pop
     rank, crowd = np.empty(n, dtype=int), np.empty(n)  # by position in pop
     while state.remaining > 0:
-        for r, front in enumerate(fronts):
+        objs = state.f_seen[pop]
+        for r, front in enumerate(fast_nondominated_sort(objs)):
             rank[front] = r
             crowd[front] = crowding_distance(objs[front])
         children = nsga2_offspring(state.x[pop], rank, crowd, n, rng)
@@ -557,11 +534,7 @@ def run_nsga2(inst: ProblemInstance, cfg: AlgoConfig) -> RunResult:
         if not full_generation:
             break
         union = np.concatenate([pop, offspring])
-        union_objs = state.f_seen[union]
-        union_fronts = fast_nondominated_sort(union_objs)
-        pop = union[nsga2_survival(union_objs, n, union_fronts)]
-        objs = state.f_seen[pop]
-        fronts = _survivor_fronts(union_fronts, objs)
+        pop = union[nsga2_survival(state.f_seen[union], n)]
     return state.result(pop)
 
 

@@ -217,8 +217,10 @@ def expand_matrix(cfg: ExperimentConfig) -> list[Job]:
 
     Search and objective transform grids vary one space at a time (the other
     held at identity) unless combined_grid is set, in which case the full
-    cross product is taken. Per-job seeds are a stable hash of the base seed
-    and the job coordinates.
+    cross product is taken. An instance listed twice runs once; two
+    different transform pairs whose descriptors print the same are a
+    ConfigError, since run ids and seeds are built from the descriptor.
+    Per-job seeds are a stable hash of the base seed and the job coordinates.
     """
     problems = resolve_problems(cfg.problems)
     search_entries = _expand_transform_entries(cfg.search_transforms)
@@ -235,7 +237,7 @@ def expand_matrix(cfg: ExperimentConfig) -> list[Job]:
         pairs += [(identity_cfg, o) for o in objective_entries]
     jobs: list[Job] = []
     for pid in problems:
-        seen: set[str] = set()
+        seen: dict[str, tuple[dict, dict]] = {}  # descriptor -> its transforms' configs
         for s_cfg, o_cfg in pairs:
             try:
                 search_t = TransformSpec.from_config(s_cfg, dim=pid.dim)
@@ -243,9 +245,15 @@ def expand_matrix(cfg: ExperimentConfig) -> list[Job]:
                 inst = ProblemInstance(pid, search_t, objective_t)
             except ValueError as exc:  # invalid transform/instance combination
                 raise ConfigError(f"invalid instance for {pid}: {exc}") from exc
+            configs = (search_t.to_config(), objective_t.to_config())
             if inst.descriptor in seen:
+                if seen[inst.descriptor] != configs:
+                    raise ConfigError(
+                        f"transforms {seen[inst.descriptor]} and {configs} "
+                        f"both name instance {inst.descriptor}"
+                    )
                 continue
-            seen.add(inst.descriptor)
+            seen[inst.descriptor] = configs
             for algo in cfg.algorithms:
                 name, population = algo["name"], algo["population"]
                 for rep in range(cfg.repetitions):

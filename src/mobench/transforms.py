@@ -60,7 +60,10 @@ def _number(value, name: str) -> float:
     bool. It is stored as a float, so 2 and 2.0 name the same transform."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ConfigError(f"{name} is too large for a float") from None
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from mobench.algorithms import (
     _pow,
     _RunState,
     _smallest_contributor,
-    _survivor_fronts,
     _tournament,
     _variation_pair,
     crowding_distance,
@@ -784,17 +783,3 @@ class TestConfigValidation:
             AlgoConfig("nsga2", 10, 5, 0)
         with pytest.raises(ParameterError):
             AlgoConfig("nsga2", 10, 100, -1)
-
-
-def test_survivors_keep_their_union_fronts():
-    """The survivors' fronts, read off the union's, equal a fresh sort of
-    the survivors, in the sort's order: exact duplicates, tied values and a
-    last front cut by crowding included."""
-    rng = np.random.default_rng(71)
-    for trial in range(300):
-        n = int(rng.integers(2, 60))
-        f = np.round(rng.random((2 * n, 2)) * rng.choice([4, 10, 1000]), 0) / 10
-        fronts = fast_nondominated_sort(f)
-        chosen = nsga2_survival(f, n, fronts)
-        assert chosen == nsga2_survival(f, n)
-        assert _survivor_fronts(fronts, f[chosen]) == fast_nondominated_sort(f[chosen]), trial

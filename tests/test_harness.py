@@ -6,6 +6,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -209,11 +210,40 @@ class TestExpandMatrix:
             {"kind": "sphered_rotation", "seed": 3, "dim": 2.0},
             {"kind": "beta_cdf_grid", "values": ["0.5"]},
             {"kind": "beta_cdf_grid", "values": [0.5, True]},
+            {"kind": "beta_cdf", "alpha": 10**400, "beta": 2.0},  # beyond a float
+            {"kind": "beta_cdf_grid", "values": [10**400]},
         ],
     )
     def test_transform_value_of_wrong_type(self, entry):
         with pytest.raises(ConfigError):
             expand_matrix(small_config(search_transforms=[entry]))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [{"kind": "beta_cdf_grid", "values": [0.5, 0.50000001]}],
+            [
+                {"kind": "beta_cdf", "alpha": 0.1234567, "beta": 1.0},
+                {"kind": "beta_cdf", "alpha": 0.1234568, "beta": 1.0},
+            ],
+        ],
+    )
+    def test_distinct_transforms_with_one_name(self, entries):
+        # both print as the same descriptor, so their run ids and seeds would collide
+        with pytest.raises(ConfigError, match="both name instance"):
+            expand_matrix(small_config(search_transforms=entries))
+
+    def test_repeated_transform_runs_once(self):
+        cfg = small_config(
+            search_transforms=[
+                {"kind": "beta_cdf", "alpha": 0.5, "beta": 2.0},
+                {"kind": "beta_cdf", "alpha": 0.5, "beta": 2},
+                {"kind": "beta_cdf_grid", "values": [0.5, 0.5]},
+            ]
+        )
+        runs = Counter(j.instance.descriptor for j in expand_matrix(cfg))
+        # Beta(0.5, 2), Beta(0.5, 0.5) and the objective warp, each 2 algorithms x 2 repetitions
+        assert sorted(runs.values()) == [4, 4, 4]
 
     @pytest.mark.parametrize(
         "field,value",
