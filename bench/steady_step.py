@@ -14,15 +14,9 @@ time. This script times, best of --repeats:
   front of 11 and of 101 members;
 - one NSGA-II generation's variation (`nsga2_offspring`) at populations 10
   and 100, d = 2 and 10;
-- the 16 runs of perfbench's steady-state-ranking workload (dtlz1-d2 and
-  zdt3-d2; the identity and rotation seed 1; SMS-EMOA and MOEA/D at
-  populations 10 and 100; budget 1000), one after another;
-- the 36 runs of perfbench's warp-generational workload (dtlz1-d2 and
-  zdt3-d2; the identity, the Beta search grid and the Beta objective grid
-  over {0.5, 2}; NSGA-II at populations 10 and 100; budget 1000);
-- the 72 runs of perfbench's log-and-report workload (random search on all
-  18 d=2 problems; the identity, rotation seed 1 and Beta(0.5, 2) search
-  warps and a Beta(2, 0.5) objective warp; population 100; budget 1000).
+- the runs of each of perfbench's workloads, one after another: the jobs
+  of the `mobench run` configs that `perfbench/run.py`'s `workload_parts`
+  builds at base seed --run-seed (perfbench/README.md describes them).
 
 With --other, it also imports the mobench package of a second source tree
 under the name `mobench_other`, runs every case on both trees, alternating
@@ -51,33 +45,16 @@ import numpy as np
 IDENTITY = {"kind": "identity"}
 ROTATION = {"kind": "sphered_rotation", "seed": 1}
 BETA = {"kind": "beta_cdf", "alpha": 0.5, "beta": 2.0}  # Beta(0.5, 2), in either space
-BETA_GRID = {"kind": "beta_cdf_grid", "values": [0.5, 2.0]}
-RUN_CONFIGS = {  # perfbench's workloads, by name: (config, number of runs)
-    "steady_state_ranking": ({
-        "problems": ["dtlz1-d2", "zdt3-d2"],
-        "search_transforms": [IDENTITY, ROTATION],
-        "algorithms": [{"name": name, "population": pop}
-                       for name in ("smsemoa", "moead") for pop in (10, 100)],
-        "budget": 1000,
-        "repetitions": 1,
-    }, 16),
-    "warp_generational": ({
-        "problems": ["dtlz1-d2", "zdt3-d2"],
-        "search_transforms": [IDENTITY, BETA_GRID],
-        "objective_transforms": [BETA_GRID],
-        "algorithms": [{"name": "nsga2", "population": pop} for pop in (10, 100)],
-        "budget": 1000,
-        "repetitions": 1,
-    }, 36),
-    "log_and_report": ({
-        "problems": ["all-d2"],
-        "search_transforms": [IDENTITY, ROTATION, BETA],
-        "objective_transforms": [{"kind": "beta_cdf", "alpha": 2.0, "beta": 0.5}],
-        "algorithms": [{"name": "random_search", "population": 100}],
-        "budget": 1000,
-        "repetitions": 1,
-    }, 72),
-}
+PERFBENCH_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+def perfbench_parts(seed: int) -> dict:
+    """perfbench's workloads, by name: the parts of one round at base seed `seed`."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH_RUN)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return {workload: module.workload_parts(workload, seed) for workload in module.WORKLOADS}
 
 
 def load_tree(root: str, name: str = "mobench_other"):
@@ -189,9 +166,11 @@ def best_us(fn, number: int) -> float:
     return (time.perf_counter() - start) / number * 1e6
 
 
-def run_jobs(tree: Tree, config: dict, base_seed: int):
-    cfg = tree.harness.ExperimentConfig.from_dict({**config, "base_seed": base_seed})
-    return tree.harness.expand_matrix(cfg)
+def run_jobs(tree: Tree, parts) -> list:
+    """The jobs of a workload's `mobench run` configs, part by part."""
+    harness = tree.harness
+    return [job for part in parts
+            for job in harness.expand_matrix(harness.ExperimentConfig.from_dict(part.config))]
 
 
 def time_runs(tree: Tree, jobs) -> tuple[dict, bytes]:
@@ -225,9 +204,11 @@ def main() -> None:
     cases = {name: {**one_row_cases(t, rows), **step_cases(t, args.seed),
                     **generation_cases(t, args.seed)}
              for name, t in trees.items()}
-    jobs = {workload: {name: run_jobs(t, config, args.run_seed) for name, t in trees.items()}
-            for workload, (config, _) in RUN_CONFIGS.items()}
-    for workload, (_, count) in RUN_CONFIGS.items():
+    workloads = perfbench_parts(args.run_seed)
+    jobs = {workload: {name: run_jobs(t, parts) for name, t in trees.items()}
+            for workload, parts in workloads.items()}
+    counts = {workload: sum(part.jobs for part in parts) for workload, parts in workloads.items()}
+    for workload, count in counts.items():
         assert {len(j) for j in jobs[workload].values()} == {count}, workload
 
     names = list(trees)
@@ -235,7 +216,7 @@ def main() -> None:
         outputs = {name: cases[name][case][1]() for name in names}
         assert len(set(outputs.values())) == 1, case
     best = {case: {name: float("inf") for name in names} for case in cases["this"]}
-    runs = {workload: {name: {} for name in names} for workload in RUN_CONFIGS}
+    runs = {workload: {name: {} for name in names} for workload in counts}
     for r in range(args.repeats):
         order = names if r % 2 == 0 else names[::-1]
         for case in best:
@@ -243,7 +224,7 @@ def main() -> None:
             for name in order:
                 us = best_us(cases[name][case][0], max(number, 1))
                 best[case][name] = min(best[case][name], us)
-        for workload in RUN_CONFIGS:
+        for workload in counts:
             run_bits = {}
             for name in order:
                 seconds, run_bits[name] = time_runs(trees[name], jobs[workload][name])
@@ -257,7 +238,7 @@ def main() -> None:
             out["this_over_other"] = round(values["this"] / values["other"], 3)
         return out
 
-    for workload, (_, count) in RUN_CONFIGS.items():
+    for workload, count in counts.items():
         for name in names:  # the sum of each group's best
             runs[workload][name][f"all_{count}"] = sum(runs[workload][name].values())
     print(json.dumps({
@@ -266,9 +247,9 @@ def main() -> None:
         "number": args.number,
         "bits_checked_equal_to_other": "other" in trees,
         "cases_us_per_call": {case: row(v, "us") for case, v in best.items()},
-        **{f"{workload}_runs_s": {
+        **{f"{workload.replace('-', '_')}_runs_s": {
             key: row({name: runs[workload][name][key] for name in names}, "s")
-            for key in runs[workload]["this"]} for workload in RUN_CONFIGS},
+            for key in runs[workload]["this"]} for workload in counts},
     }, indent=1))
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Experiment definition, run-matrix expansion, execution, and reports.
 
-The run pass executes (instance, algorithm, seed) jobs, persists one raw
-evaluation log and one sidecar per run, pools per-problem objective extrema
-into normalization boxes, and writes every run's hypervolume columns to
-`runs.csv`. The report pass reads `runs.csv` and the sidecars, no log, and
-emits plot-ready CSV tables.
+The run pass executes (instance, algorithm, seed) jobs, persists a raw log
+and a sidecar per successful run, pools per-problem objective extrema into
+normalization boxes, and indexes the batch: `runs.csv` holds each successful
+run's hypervolume columns, `errors.csv` each failed run's error. The report
+pass reads those two and the sidecars `runs.csv` names, no log, and emits
+plot-ready CSV tables.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -284,8 +286,8 @@ def _write_raw_log(result: RunResult, path: Path) -> None:
 def _execute_job(job: Job, output_dir: str | None) -> RunSummary:
     """Run one job; a failure is recorded in the summary, never raised.
 
-    With an output directory, every job gets a `.json` sidecar and a
-    successful one also its raw `.log`; a failed one is left no `.log`.
+    With an output directory, a successful run writes its raw `.log`, then
+    its `.json` sidecar; a failed run, unwritable files included, leaves neither.
     """
     header = dict(
         problem=str(job.instance.problem),
@@ -308,16 +310,13 @@ def _execute_job(job: Job, output_dir: str | None) -> RunSummary:
         )
         if runs_dir is not None:
             _write_raw_log(result, runs_dir / f"{run_id}.log")
-    except Exception as exc:  # job failures are recorded, never abort the batch
-        summary = RunSummary(**header, error=f"{type(exc).__name__}: {exc}")
-    if runs_dir is not None:
-        meta = {k: v for k, v in summary.__dict__.items() if k != "accepted"}
-        try:
+            meta = {k: v for k, v in summary.__dict__.items() if k != "accepted"}
             (runs_dir / f"{run_id}.json").write_text(json.dumps(meta), encoding="utf-8")
-        except OSError as exc:  # a run that cannot be persisted counts as failed
-            summary = RunSummary(**header, error=f"{type(exc).__name__}: {exc}")
-        if summary.error is not None:  # a failed run keeps no log, complete or not
-            (runs_dir / f"{run_id}.log").unlink(missing_ok=True)
+    except Exception as exc:  # job failures are recorded, never abort the batch
+        for suffix in (".log", ".json") if runs_dir is not None else ():
+            with suppress(OSError):  # a failed run keeps no file; a directory in its place stays
+                (runs_dir / f"{run_id}{suffix}").unlink(missing_ok=True)
+        return RunSummary(**header, error=f"{type(exc).__name__}: {exc}")
     return summary
 
 
@@ -399,31 +398,30 @@ def emit_runs_csv(rows: Iterable[RunRow], path: str | Path) -> Path:
 
 
 def read_runs(output_dir: str | Path) -> tuple[list[RunRow], list[str]]:
-    """The rows of `runs.csv` in sorted sidecar order, and each failed run's problem.
+    """The rows of `runs.csv` sorted by run id, and each failed run's problem.
 
     Hypervolumes come from `runs.csv`, whose `repr` floats read back bit for
-    bit; a row's problem and transform configs from its run's sidecar.
+    bit; a row's problem and transform configs from the sidecar its run id
+    names, the one file of `runs/` read for it; failed runs from `errors.csv`.
     """
-    path = Path(output_dir) / "runs.csv"
+    path, errors = Path(output_dir) / "runs.csv", Path(output_dir) / "errors.csv"
     if not path.is_file():
         raise ReportError(f"no runs.csv under {output_dir}")
     lines = path.read_text(encoding="utf-8").splitlines()[2:]
     table = {_run_id(*c[:4]): c for c in (line.split(",") for line in lines)}
-    rows, failed = [], []
-    for meta_path in sorted((Path(output_dir) / "runs").glob("*.json")):
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        if meta["error"] is not None:
-            failed.append(meta["problem"])
-        elif meta_path.stem not in table:
-            raise ReportError(f"run {meta_path.stem} has no row in runs.csv")
-        else:
-            inst, algo, pop, seed, archive_hv, pop_hv, evals, hvs = table.pop(meta_path.stem)
-            rows.append(RunRow(inst, algo, int(pop), int(seed), float(archive_hv), float(pop_hv),
-                               list(map(int, evals.split(";"))), list(map(float, hvs.split(";"))),
-                               meta["problem"], meta["search_t"], meta["objective_t"]))
-    if table:
-        raise ReportError(f"run {next(iter(table))} in runs.csv has no successful sidecar")
-    return rows, failed
+    rows = []
+    for run_id in sorted(table):
+        sidecar = path.parent / "runs" / f"{run_id}.json"
+        try:
+            meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ReportError(f"run {run_id} in runs.csv has no readable sidecar: {exc}") from exc
+        inst, algo, pop, seed, archive_hv, pop_hv, evals, hvs = table[run_id]
+        rows.append(RunRow(inst, algo, int(pop), int(seed), float(archive_hv), float(pop_hv),
+                           list(map(int, evals.split(";"))), list(map(float, hvs.split(";"))),
+                           meta["problem"], meta["search_t"], meta["objective_t"]))
+    failed = errors.read_text(encoding="utf-8").splitlines()[1:] if errors.is_file() else []
+    return rows, [line.split("__", 1)[0] for line in failed]  # the instance's problem
 
 
 def emit_errors_csv(summaries: Iterable[RunSummary], path: str | Path) -> Path:
@@ -432,7 +430,7 @@ def emit_errors_csv(summaries: Iterable[RunSummary], path: str | Path) -> Path:
     lines = ["instance,algorithm,population,seed,error"]
     for s in summaries:
         if s.error is not None:
-            err = s.error.replace(",", ";").replace("\n", " ")
+            err = " ".join(s.error.splitlines()).replace(",", ";")
             lines.append(f"{s.instance},{s.algorithm},{s.population},{s.seed},{err}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

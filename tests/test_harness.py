@@ -324,14 +324,12 @@ class TestExecute:
         path = emit_errors_csv(summaries, tmp_path / "errors.csv")
         content = path.read_text()
         assert "DimensionError" in content
-        # the failure is persisted as a sidecar without a raw log
-        metas = [json.loads(p.read_text()) for p in (out / "runs").glob("*.json")]
-        sidecars = {meta["seed"]: meta for meta in metas}
-        assert sidecars[0]["error"] == summaries[0].error and sidecars[0]["final_pop_f"] == []
-        assert sidecars[1]["error"] is None and sidecars[1]["final_pop_f"]
+        # errors.csv is the failure's one record: the failed run leaves no file
+        good_id = f"{good.descriptor}__random_search__p4__s1"
+        assert sorted(p.name for p in (out / "runs").iterdir()) == [
+            f"{good_id}.json", f"{good_id}.log"]
+        assert json.loads((out / "runs" / f"{good_id}.json").read_text())["final_pop_f"]
         assert summaries[0].accepted.shape == (0, 3) and len(summaries[1].accepted)
-        assert len(list((out / "runs").glob("*.json"))) == 2
-        assert len(list((out / "runs").glob("*.log"))) == 1
 
     def test_unwritable_sidecar_recorded(self, tmp_path):
         jobs = expand_matrix(
@@ -695,6 +693,31 @@ def run_dir(tmp_path_factory):
     return out, build_reports(out)
 
 
+@pytest.fixture(scope="module")
+def prefix_trap_dir(tmp_path_factory):
+    """A `mobench run` output directory whose run ids sort otherwise than its CSV lines.
+
+    Its fields share prefixes: `p10` and `p100`, `b0.5` and `b0.55`. Where one
+    ends, a CSV line goes on with `,`, which sorts below a digit, and a run id
+    with `_`, which sorts above one.
+    """
+    grid = {"kind": "beta_cdf_grid", "values": [0.5, 0.55]}
+    config = dict(
+        problems=["zdt1-d2"],
+        search_transforms=[{"kind": "identity"}, grid],
+        objective_transforms=[grid],
+        algorithms=[{"name": "random_search", "population": pop} for pop in (10, 100)],
+        budget=100,
+        repetitions=1,
+        base_seed=5,
+    )
+    root = tmp_path_factory.mktemp("prefix-trap")
+    (root / "config.json").write_text(json.dumps(config))
+    out = root / "out"
+    assert cli_main(["run", "--config", str(root / "config.json"), "--out", str(out)]) == 0
+    return out
+
+
 @pytest.fixture
 def fresh_run_dir(run_dir, tmp_path):
     """A copy of the run directory that a test may damage, without its reports."""
@@ -738,7 +761,17 @@ class TestReportsReadRunsCsv:
             log.write_text("not,a,log\n")
         assert build_reports(out) == reports
 
-    @pytest.mark.parametrize("damage", ["no runs.csv", "orphan sidecar", "orphan row"])
+    def test_unnamed_sidecars_change_no_report(self, fresh_run_dir):
+        out, reports = fresh_run_dir
+        # runs.csv names the sidecars read: a stray file in runs/, even one that
+        # would not parse or that records a failure, is never opened
+        meta = json.loads(sorted((out / "runs").glob("*.json"))[0].read_text())
+        stray = f"{meta['instance']}__{meta['algorithm']}__p{meta['population']}__s1.json"
+        (out / "runs" / stray).write_text(json.dumps({**meta, "seed": 1, "error": "x"}))
+        (out / "runs" / "zdt1-d2__broken.json").write_text("not json")
+        assert build_reports(out) == reports
+
+    @pytest.mark.parametrize("damage", ["no runs.csv", "orphan row"])
     def test_missing_pieces_exit_2(self, fresh_run_dir, capsys, damage):
         out, _ = fresh_run_dir
         lines = (out / "runs.csv").read_text().splitlines(keepends=True)
@@ -746,9 +779,6 @@ class TestReportsReadRunsCsv:
         if damage == "no runs.csv":
             (out / "runs.csv").unlink()
             named = str(out)
-        elif damage == "orphan sidecar":
-            (out / "runs.csv").write_text("".join(lines[:2] + lines[3:]))
-            named = run_id
         else:
             (out / "runs" / f"{run_id}.json").unlink()
             named = run_id
@@ -758,12 +788,25 @@ class TestReportsReadRunsCsv:
             err = capsys.readouterr().err
             assert "ReportError" in err and named in err
 
-    def test_read_runs_keeps_sidecar_order(self, run_dir):
-        out, _ = run_dir
-        rows, failed = read_runs(out)
-        assert failed == []
-        names = [f"{r.instance}__{r.algorithm}__p{r.population}__s{r.seed}.json" for r in rows]
-        assert names == sorted(p.name for p in (out / "runs").glob("*.json"))
+    def test_read_runs_keeps_sidecar_order(self, run_dir, prefix_trap_dir):
+        for out in (run_dir[0], prefix_trap_dir):
+            rows, failed = read_runs(out)
+            assert failed == []
+            names = [f"{r.instance}__{r.algorithm}__p{r.population}__s{r.seed}.json" for r in rows]
+            assert names == sorted(p.name for p in (out / "runs").glob("*.json"))
+        # the trap holds: sorted as CSV lines, the rows come in another order
+        lines = sorted((prefix_trap_dir / "runs.csv").read_text().splitlines()[2:])
+        assert [line.split(",", 2)[:2] for line in lines] != [
+            [r.instance, r.algorithm] for r in read_runs(prefix_trap_dir)[0]]
+
+
+TWO_RUNS = dict(  # a config of two random-search runs
+    problems=["zdt1-d2"],
+    search_transforms=[{"kind": "identity"}],
+    algorithms=[{"name": "random_search", "population": 4}],
+    budget=10,
+    repetitions=2,
+)
 
 
 class TestCli:
@@ -880,14 +923,50 @@ class TestCli:
             Job(good, AlgoConfig("random_search", 4, 10, 1)),
         ]
         summaries = execute(jobs, output_dir=str(tmp_path))
-        # as `mobench run` does: the failed run gets a sidecar and no row
+        # as `mobench run` does: the failed run gets a line in errors.csv and no row
         emit_runs_csv(compute_run_rows(summaries), tmp_path / "runs.csv")
+        emit_errors_csv(summaries, tmp_path / "errors.csv")
         capsys.readouterr()
         assert cli_main(["report", "--in", str(tmp_path), "--kind", "relative"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "read 2 runs, 1 failed"
         over_time = ["--kind", "over-time", "--problem", "zdt1-d2", "--transform", "s:id__o:id"]
         assert cli_main(["report", "--in", str(tmp_path), *over_time]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "read 2 runs of zdt1-d2, 1 failed"
+
+    def test_report_counts_an_unwritable_sidecar(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TWO_RUNS))
+        out = tmp_path / "out"
+        job = expand_matrix(ExperimentConfig.from_dict(TWO_RUNS))[0]
+        run_id = f"{job.instance.descriptor}__random_search__p4__s{job.algo.seed}"
+        # a directory in the sidecar's place makes its write fail
+        (out / "runs" / f"{run_id}.json").mkdir(parents=True)
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert "(1 runs, 1 failures)" in capsys.readouterr().out
+        assert not (out / "runs" / f"{run_id}.log").exists()
+        over_time = ["--kind", "over-time", "--problem", "zdt1-d2", "--transform", "s:id__o:id"]
+        assert cli_main(["report", "--in", str(out), *over_time]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "read 2 runs of zdt1-d2, 1 failed"
+
+    def test_error_text_stays_on_one_line(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TWO_RUNS))
+        out = tmp_path / "out"
+        first = expand_matrix(ExperimentConfig.from_dict(TWO_RUNS))[0].algo.seed
+
+        def fail_first(instance, algo):
+            if algo.seed == first:  # line breaks str.splitlines knows, and a comma
+                raise RuntimeError("a\nb\rc\r\nd\u2028e\x0bf\x85g,h")
+            return run_algorithm(instance, algo)
+
+        monkeypatch.setattr("mobench.harness.run_algorithm", fail_first)
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        lines = (out / "errors.csv").read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].endswith(",RuntimeError: a b c d e f g;h")
+        capsys.readouterr()
+        assert cli_main(["report", "--in", str(out), "--kind", "relative"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "read 2 runs, 1 failed"
 
     def test_clean_run_removes_an_earlier_errors_csv(self, tmp_path, monkeypatch):
         config = dict(
